@@ -1,6 +1,6 @@
 // Micro-benchmarks (google-benchmark) for the compiler passes themselves:
-// propagation, SPMD lowering and the collective-optimization pass families
-// on generated matmul chains of increasing length, plus the end-to-end
+// propagation, SPMD lowering and the collective optimization (OptimizeSpmd
+// and its rewrite families in isolation) on generated matmul chains of increasing length, plus the end-to-end
 // Program::Partition facade pipeline those passes compose into. After the
 // benchmarks, one pipeline run's per-pass timings are emitted as JSON from
 // Executable::pipeline_stats() (bench_util.h's JsonWriter).
@@ -89,11 +89,11 @@ void BM_OptimizeSpmd(benchmark::State& state) {
 }
 BENCHMARK(BM_OptimizeSpmd)->Arg(16)->Arg(64)->Arg(256);
 
-// One sweep of each collective-optimization pass family in isolation (the
-// fuse-gather-slice / form-reduce-scatter / dce registered passes). The
-// per-iteration lowering that produces each fresh input module is excluded
-// from the measurement.
-void BM_PassSweep(benchmark::State& state, unsigned mask, bool dce) {
+// One sweep of each rewrite family OptimizeSpmd combines (gather/slice
+// fusion, reduce-scatter formation, DCE), in isolation. The per-iteration
+// lowering that produces each fresh input module is excluded from the
+// measurement.
+void BM_Sweep(benchmark::State& state, unsigned mask, bool dce) {
   int64_t layers = state.range(0);
   Func* func;
   Value* x;
@@ -111,17 +111,17 @@ void BM_PassSweep(benchmark::State& state, unsigned mask, bool dce) {
   }
   state.SetItemsProcessed(state.iterations() * layers * 2);
 }
-void BM_FuseGatherSlicePass(benchmark::State& state) {
-  BM_PassSweep(state, kRewriteGatherSlice, false);
+void BM_GatherSliceSweep(benchmark::State& state) {
+  BM_Sweep(state, kRewriteGatherSlice, false);
 }
-void BM_FormReduceScatterPass(benchmark::State& state) {
-  BM_PassSweep(state, kRewriteReduceScatter | kRewriteReduceScatterPartial,
-               false);
+void BM_ReduceScatterSweep(benchmark::State& state) {
+  BM_Sweep(state, kRewriteReduceScatter | kRewriteReduceScatterPartial,
+           false);
 }
-void BM_DcePass(benchmark::State& state) { BM_PassSweep(state, 0, true); }
-BENCHMARK(BM_FuseGatherSlicePass)->Arg(64)->Arg(256);
-BENCHMARK(BM_FormReduceScatterPass)->Arg(64)->Arg(256);
-BENCHMARK(BM_DcePass)->Arg(64)->Arg(256);
+void BM_DceSweep(benchmark::State& state) { BM_Sweep(state, 0, true); }
+BENCHMARK(BM_GatherSliceSweep)->Arg(64)->Arg(256);
+BENCHMARK(BM_ReduceScatterSweep)->Arg(64)->Arg(256);
+BENCHMARK(BM_DceSweep)->Arg(64)->Arg(256);
 
 // The whole facade pipeline (actions -> propagation -> lowering ->
 // collective optimization) through one Program::Partition call. The

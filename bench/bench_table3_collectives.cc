@@ -20,10 +20,11 @@ using bench::PrintRow;
 using bench::Run;
 
 /**
- * Counts the collectives a schedule yields when the real pipeline runs
- * WITHOUT the form-reduce-scatter pass (PipelineVariant ablation): the
- * "before" half of the before/after reduce-scatter-formation report for
- * the T32 EMB rows (the ROADMAP fidelity item this pass debugs).
+ * Counts the collectives a schedule yields when the real pipeline's
+ * optimize-spmd pass runs WITHOUT reduce-scatter formation (PipelineVariant
+ * ablation: gather/slice fusion and DCE only): the "before" half of the
+ * before/after reduce-scatter-formation report for the T32 EMB rows (the
+ * ROADMAP fidelity item this ablation debugs).
  */
 CollectiveStats WithoutReduceScatterFormation(
     Program& step, const Mesh& mesh, const std::vector<Tactic>& schedule) {
@@ -42,8 +43,8 @@ CollectiveStats WithoutReduceScatterFormation(
   return result->collectives;
 }
 
-/** Counts for a schedule with the boundary-realization policy disabled
- *  (PartitionOptions ablation): the historical all-all_reduce realization. */
+/** Counts for a schedule with boundary realization off (PartitionOptions
+ *  ablation): the historical all-all_reduce realization. */
 CollectiveStats WithoutBoundaryRealization(
     Program& step, const Mesh& mesh, const std::vector<Tactic>& schedule) {
   PartitionContext ctx(step.func(), mesh);
@@ -129,8 +130,8 @@ void TransformerRows() {
          "boundary realization off", "0/355/0/0");
 
   // Before/after reduce-scatter formation on the EMB rows (the ROADMAP
-  // T32 EMB fidelity item): "before" disables the form-reduce-scatter
-  // pass, "after" is the full pipeline row above.
+  // T32 EMB fidelity item): "before" masks reduce-scatter formation out of
+  // optimize-spmd, "after" is the full pipeline row above.
   Report("T32", "EMB -rs-form",
          WithoutReduceScatterFormation(step, mesh, {TransformerEMB()}),
          "before reduce-scatter formation", "0/355/0/0");

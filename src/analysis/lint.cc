@@ -368,8 +368,8 @@ void LintRedundantCollectives(const Module& module, const Mesh& mesh,
       }
       // Inverse-pair round trips: the boundary-gather realization plus a
       // downstream re-tiling can chain all_gather and all_slice with the
-      // same axes_per_dim; fuse-gather-slice rewrites those away, so a
-      // survivor is pure redundant data motion.
+      // same axes_per_dim; optimize-spmd's gather/slice fusion rewrites
+      // those away, so a survivor is pure redundant data motion.
       const Operation* producer =
           op->operand(0)->IsBlockArg() ? nullptr : op->operand(0)->def();
       if (producer != nullptr &&
@@ -386,7 +386,7 @@ void LintRedundantCollectives(const Module& module, const Mesh& mesh,
               StrCat("undoes the ", OpKindName(producer->kind()), " '%",
                      producer->result(0)->name(),
                      "' it consumes (gather/slice round-trip survived "
-                     "fuse-gather-slice)"));
+                     "optimize-spmd)"));
         }
       }
       bool replicated = true;

@@ -276,11 +276,6 @@ AutoResult AutomaticallyPartition(PartitionContext& ctx,
       result.actions.push_back(action);
     }
   }
-  SpmdModule spmd = LowerToSpmd(ctx);
-  OptimizeSpmd(spmd);
-  SimEstimate estimate = EstimateSpmd(spmd, options.device);
-  result.est_step_seconds = estimate.step_seconds;
-  result.est_peak_memory = estimate.peak_memory_bytes;
   result.evaluations = shared.evaluations;
   result.search_seconds =
       std::chrono::duration<double>(std::chrono::steady_clock::now() - start)

@@ -36,11 +36,10 @@ struct AutoOptions {
   DeviceSpec device = Tpu_v3();
 };
 
-/** Result of a search: chosen actions and their estimated step time. */
+/** Result of a search: the applied actions and the search's cost. The
+ *  strategy's estimate is the pipeline's (PartitionResult::estimate). */
 struct AutoResult {
   std::vector<AutoAction> actions;
-  double est_step_seconds = 0;
-  double est_peak_memory = 0;
   double search_seconds = 0;
   int evaluations = 0;
 };

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 
+#include "src/sim/cost_model.h"
 #include "src/support/str_util.h"
 
 namespace partir {
@@ -256,18 +257,18 @@ class Propagator {
       }
       const Candidate& candidate = candidates.front();
       // Realization boundary (Section 5.2.4): a contracting step creates a
-      // partial value; consult the policy for how to realize it before
-      // committing to the #sum nest entry. Only steps the baseline
-      // all_reduce realization would actually commit are offered to the
-      // policy: refused steps (atomic or indivisible operands, axis already
-      // summing the result) keep their historical refusal diagnostics — and
-      // schedules that rely on refusal-driven per-use gathers (e.g. Z3's
-      // weight re-gathers) lower byte-identically with the policy installed.
-      if (ctx_.realization_policy_ != nullptr &&
+      // partial value; choose how to realize it before committing to the
+      // #sum nest entry. Only steps the baseline all_reduce realization
+      // would actually commit are offered to the choice: refused steps
+      // (atomic or indivisible operands, axis already summing the result)
+      // keep their historical refusal diagnostics — and schedules that rely
+      // on refusal-driven per-use gathers (e.g. Z3's weight re-gathers)
+      // lower byte-identically with boundary realization on.
+      if (ctx_.boundary_realization_ &&
           spec.factors.at(candidate.factor).contracting &&
           ContractingStepWouldApply(op, spec.factors.at(candidate.factor),
                                     candidate.axis)) {
-        switch (DecideRealization(op, spec, candidate)) {
+        switch (DecideRealization(op, candidate)) {
           case Realization::kGather:
             // Stop here: no nest entry means lowering all_gathers the tiled
             // operands and computes the op replicated.
@@ -289,7 +290,7 @@ class Propagator {
   // Quiet preview of TryApply's contracting-entry checks: true when the
   // baseline kReduce realization would commit this step. No conflicts are
   // reported here; a refused step falls through to TryApply, which reports
-  // them exactly as it did before realization policies existed.
+  // them exactly as it does with boundary realization off.
   bool ContractingStepWouldApply(Operation& op, const Factor& factor,
                                  const std::string& axis) {
     if (!OperandsFeasible(op, factor, axis, /*report=*/false)) return false;
@@ -300,8 +301,7 @@ class Propagator {
   }
 
   // Looks up or makes the realization decision for a contracting step.
-  Realization DecideRealization(Operation& op, const OpShardingSpec& spec,
-                                const Candidate& candidate) {
+  Realization DecideRealization(Operation& op, const Candidate& candidate) {
     auto key = std::make_pair(static_cast<const Operation*>(&op),
                               candidate.axis);
     auto it = ctx_.realizations_.find(key);
@@ -312,7 +312,7 @@ class Propagator {
     site.axis = candidate.axis;
     site.factor = candidate.factor;
     site.scatter_dim = DefaultScatterDim(op, candidate.axis);
-    Realization realization = ctx_.realization_policy_(site);
+    Realization realization = ChooseBoundaryRealization(ctx_, site);
     if (realization == Realization::kScatter &&
         !ScatterFeasible(op, candidate.axis, site.scatter_dim)) {
       realization = Realization::kReduce;

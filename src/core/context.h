@@ -20,7 +20,6 @@
 #ifndef PARTIR_CORE_CONTEXT_H_
 #define PARTIR_CORE_CONTEXT_H_
 
-#include <functional>
 #include <map>
 #include <set>
 #include <string>
@@ -63,9 +62,10 @@ enum class Realization {
 };
 
 /**
- * A contracting propagation step offered to the realization policy.
- * `scatter_dim` arrives as the default suggestion (the highest divisible
- * result dim) and may be overwritten by the policy when returning kScatter.
+ * A contracting propagation step offered to ChooseBoundaryRealization
+ * (src/sim/cost_model.h). `scatter_dim` arrives as the default suggestion
+ * (the highest divisible result dim) and may be overwritten by the choice
+ * when returning kScatter.
  */
 struct BoundarySite {
   const Operation* op = nullptr;
@@ -73,13 +73,6 @@ struct BoundarySite {
   int factor = -1;
   int64_t scatter_dim = -1;
 };
-
-/**
- * Decides the realization of one contracting propagation step. Installed by
- * the Propagate pass (cost-model scored by default); null keeps every step
- * on kReduce.
- */
-using RealizationPolicy = std::function<Realization(BoundarySite&)>;
 
 /** The tiling state of one value. */
 struct ValueState {
@@ -162,16 +155,16 @@ class PartitionContext {
   bool ForceOpAxis(Operation* op, const std::string& axis, int factor_index);
 
   /**
-   * Installs the realization policy consulted by Propagate at contracting
-   * steps (realization boundaries). Decisions are memoized per (op, axis)
-   * across fixpoint sweeps and incremental tactics. Null (the default)
-   * realizes every contracting step as kReduce — the historical all_reduce
-   * behavior.
+   * Boundary-aware realization (PartitionOptions::boundary_realization):
+   * when on, Propagate asks ChooseBoundaryRealization how to realize each
+   * contracting step (realization boundary). Decisions are memoized per
+   * (op, axis) across fixpoint sweeps and incremental tactics. Copies of
+   * the context (the MCTS search states) carry the flag and decide against
+   * their own state. Off (the default) realizes every contracting step as
+   * kReduce — the historical all_reduce behavior. RunPartitionPipeline sets
+   * it from the options before any pass runs.
    */
-  void SetRealizationPolicy(RealizationPolicy policy) {
-    realization_policy_ = std::move(policy);
-  }
-  bool HasRealizationPolicy() const { return realization_policy_ != nullptr; }
+  void set_boundary_realization(bool on) { boundary_realization_ = on; }
 
   /** Realization decisions made during Propagate, keyed (op, axis). */
   const std::map<std::pair<const Operation*, std::string>, Realization>&
@@ -242,7 +235,7 @@ class PartitionContext {
   std::map<const Value*, std::set<std::string>> atomic_;
   std::vector<Conflict> conflicts_;
   std::set<std::pair<const Operation*, std::string>> reported_;
-  RealizationPolicy realization_policy_;
+  bool boundary_realization_ = false;
   std::map<std::pair<const Operation*, std::string>, Realization>
       realizations_;
   // Scatter dims chosen alongside kScatter decisions, same key as above.

@@ -71,10 +71,10 @@ OpShardingSpec GetShardingSpec(const Operation& op);
 
 /**
  * Value-provenance queries used to classify propagation realization
- * boundaries (PartitionContext::SetRealizationPolicy). They are purely
- * structural — they walk defining ops, never sharding state — so the cost
- * model can classify a boundary site without depending on propagation
- * internals.
+ * boundaries (ChooseBoundaryRealization, src/sim/cost_model.h). They are
+ * purely structural — they walk defining ops, never sharding state — so
+ * the cost model can classify a boundary site without depending on
+ * propagation internals.
  */
 
 /** True when `v` is (within `depth` elementwise ops of) an rsqrt output —

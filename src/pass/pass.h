@@ -47,8 +47,8 @@ struct PipelineState {
 
   /**
    * Rewrites / actions applied by the pass currently running. The manager
-   * zeroes this before each pass and reads it afterwards — it feeds the
-   * pass's statistics and drives fixpoint groups to convergence.
+   * zeroes this before each pass and reads it afterwards into the pass's
+   * statistics.
    */
   int64_t changes = 0;
 

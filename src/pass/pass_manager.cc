@@ -22,43 +22,26 @@ PassManager::PassManager(PipelineOptions options)
 
 PassManager& PassManager::AddPass(std::unique_ptr<Pass> pass, StageTag tag) {
   PARTIR_CHECK(pass != nullptr) << "PassManager::AddPass: null pass";
-  entries_.push_back(Entry{std::move(pass), tag, 1, 1});
+  entries_.push_back(Entry{std::move(pass), tag});
   return *this;
 }
 
-PassManager& PassManager::AddFixpoint(std::vector<std::unique_ptr<Pass>> group,
-                                      int max_iterations) {
-  PARTIR_CHECK(!group.empty()) << "PassManager::AddFixpoint: empty group";
-  PARTIR_CHECK(max_iterations >= 1);
-  int size = static_cast<int>(group.size());
-  for (int i = 0; i < size; ++i) {
-    entries_.push_back(Entry{std::move(group[i]), StageTag{},
-                             i == 0 ? size : 1, i == 0 ? max_iterations : 1});
-  }
-  return *this;
-}
-
-StatusOr<int64_t> PassManager::RunOne(Entry& entry, PassStats& stats,
-                                      PipelineState& state) {
-  const int64_t ops_before = state.CurrentOpCount();
-  if (stats.runs == 0) stats.ops_before = ops_before;
+Status PassManager::RunOne(Entry& entry, PassStats& stats,
+                           PipelineState& state) {
+  stats.ops_before = state.CurrentOpCount();
   state.changes = 0;
   auto start = Clock::now();
   Status status = entry.pass->Run(state);
   const double seconds = SecondsSince(start);
-  stats.seconds += seconds;
-  ++stats.runs;
+  stats.seconds = seconds;
+  stats.runs = 1;
   if (!status.ok()) {
     return Status(status.code(), StrCat("pass '", entry.pass->name(),
                                         "': ", status.message()));
   }
-  stats.changes += state.changes;
+  stats.changes = state.changes;
   stats.ops_after = state.CurrentOpCount();
-  // Collective counts are recorded the FIRST time the pass runs on the
-  // lowered module: for fixpoint groups that is the first-iteration delta,
-  // where formation actually happens — later iterations all see the
-  // converged module and would erase the attribution.
-  if (state.lowered && !stats.lowered) {
+  if (state.lowered) {
     stats.lowered = true;
     stats.collectives =
         CountCollectives(*state.result.spmd.module, state.result.spmd.mesh);
@@ -72,7 +55,7 @@ StatusOr<int64_t> PassManager::RunOne(Entry& entry, PassStats& stats,
       entry.tag.tactic_index < static_cast<int>(state.result.tactics.size())) {
     state.result.tactics[entry.tag.tactic_index].tactic_seconds += seconds;
   }
-  return state.changes;
+  return Status::Ok();
 }
 
 Status PassManager::VerifyAfter(const std::string& pass_name,
@@ -126,43 +109,15 @@ Status PassManager::Run(PipelineState& state) {
     stats_.passes[i].name = entries_[i].pass->name();
   }
   Status status = Status::Ok();
-  for (size_t i = 0; i < entries_.size() && status.ok();) {
-    const int group = entries_[i].group_size;
-    if (group == 1 && entries_[i].max_iterations == 1) {
-      Entry& entry = entries_[i];
-      StatusOr<int64_t> changes = RunOne(entry, stats_.passes[i], state);
-      status = changes.status();
-      if (status.ok() && options_.verify_after_each_pass) {
-        status = VerifyAfter(entry.pass->name(), state);
-      }
-      if (status.ok() && entry.tag.stage_boundary) {
-        status = CaptureSnapshot(entry, state);
-      }
-      ++i;
-      continue;
+  for (size_t i = 0; i < entries_.size() && status.ok(); ++i) {
+    Entry& entry = entries_[i];
+    status = RunOne(entry, stats_.passes[i], state);
+    if (status.ok() && options_.verify_after_each_pass) {
+      status = VerifyAfter(entry.pass->name(), state);
     }
-    // Fixpoint group: repeat the member passes until an iteration applies
-    // no changes (statistics accumulate per pass across iterations).
-    for (int iteration = 0;
-         iteration < entries_[i].max_iterations && status.ok(); ++iteration) {
-      int64_t iteration_changes = 0;
-      for (int member = 0; member < group && status.ok(); ++member) {
-        Entry& entry = entries_[i + member];
-        StatusOr<int64_t> changes =
-            RunOne(entry, stats_.passes[i + member], state);
-        status = changes.status();
-        if (!status.ok()) break;
-        iteration_changes += changes.value();
-        if (options_.verify_after_each_pass) {
-          status = VerifyAfter(entry.pass->name(), state);
-        }
-      }
-      if (iteration_changes == 0) break;
+    if (status.ok() && entry.tag.stage_boundary) {
+      status = CaptureSnapshot(entry, state);
     }
-    if (status.ok() && entries_[i].tag.stage_boundary) {
-      status = CaptureSnapshot(entries_[i], state);
-    }
-    i += group;
   }
   stats_.total_seconds = SecondsSince(total_start);
   state.result.pipeline = stats_;

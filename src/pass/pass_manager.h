@@ -8,9 +8,9 @@
  *   - per-pass collective counts once the module is lowered (the per-stage
  *     Table 3 breakdown used to debug collective formation),
  *   - printable IR snapshots at stage-tagged passes (loop form before
- *     lowering, device-local module after) that Executable::Print serves,
- *   - fixpoint groups: a run of passes repeated until an iteration applies
- *     no rewrites (the collective-optimization stages).
+ *     lowering, device-local module after) that Executable::Print serves.
+ * Every pass runs once, in registration order; a pass that iterates to a
+ * fixpoint (propagate, optimize-spmd) does so internally.
  */
 #ifndef PARTIR_PASS_PASS_MANAGER_H_
 #define PARTIR_PASS_PASS_MANAGER_H_
@@ -49,14 +49,6 @@ class PassManager {
   PassManager& AddPass(std::unique_ptr<Pass> pass, StageTag tag = StageTag());
 
   /**
-   * Appends a fixpoint group: the passes run in order, and the whole group
-   * repeats until an iteration applies no changes (or max_iterations).
-   * Statistics accumulate per pass across iterations.
-   */
-  PassManager& AddFixpoint(std::vector<std::unique_ptr<Pass>> group,
-                           int max_iterations = 8);
-
-  /**
    * Runs the pipeline. Stops at the first pass error or verifier failure;
    * stats() is valid for the passes that ran either way.
    */
@@ -71,13 +63,10 @@ class PassManager {
   struct Entry {
     std::unique_ptr<Pass> pass;
     StageTag tag;
-    int group_size = 1;      // >1 on the head of a fixpoint group
-    int max_iterations = 1;  // group iterations (head entry only)
   };
 
-  /** Runs one pass, updating its stats slot; returns changes applied. */
-  StatusOr<int64_t> RunOne(Entry& entry, PassStats& stats,
-                           PipelineState& state);
+  /** Runs one pass, filling its stats slot. */
+  Status RunOne(Entry& entry, PassStats& stats, PipelineState& state);
   /** Verifies the live IR after `pass_name` ran; typed error on failure. */
   Status VerifyAfter(const std::string& pass_name, PipelineState& state);
   /** Captures a printable snapshot after a stage-boundary pass. */

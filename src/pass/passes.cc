@@ -69,17 +69,6 @@ Status AutoTacticPass::Run(PipelineState& state) {
 std::string PropagatePass::name() const { return "propagate"; }
 
 Status PropagatePass::Run(PipelineState& state) {
-  // Boundary-aware realization (PartitionOptions::boundary_realization):
-  // propagation consults the cost model at realization boundaries instead
-  // of hard-coding the all_reduce realization. A policy the caller already
-  // installed (tests, experiments) wins over the default.
-  if (state.options.boundary_realization &&
-      !state.ctx.HasRealizationPolicy()) {
-    PartitionContext* ctx = &state.ctx;
-    state.ctx.SetRealizationPolicy([ctx](BoundarySite& site) {
-      return ChooseBoundaryRealization(*ctx, site);
-    });
-  }
   state.changes = state.ctx.Propagate();
   if (tactic_index_ >= 0) {
     ReportFor(state, tactic_index_).conflicts =
@@ -119,31 +108,11 @@ Status LowerToSpmdPass::Run(PipelineState& state) {
   return Status::Ok();
 }
 
-std::string FuseGatherSlicePass::name() const { return "fuse-gather-slice"; }
+std::string OptimizeSpmdPass::name() const { return "optimize-spmd"; }
 
-Status FuseGatherSlicePass::Run(PipelineState& state) {
-  PARTIR_CHECK(state.lowered) << "fuse-gather-slice before lowering";
-  state.changes = RunSpmdPeephole(state.result.spmd, kRewriteGatherSlice);
-  return Status::Ok();
-}
-
-std::string FormReduceScatterPass::name() const {
-  return "form-reduce-scatter";
-}
-
-Status FormReduceScatterPass::Run(PipelineState& state) {
-  PARTIR_CHECK(state.lowered) << "form-reduce-scatter before lowering";
-  state.changes = RunSpmdPeephole(
-      state.result.spmd,
-      kRewriteReduceScatter | kRewriteReduceScatterPartial);
-  return Status::Ok();
-}
-
-std::string DcePass::name() const { return "dce"; }
-
-Status DcePass::Run(PipelineState& state) {
-  PARTIR_CHECK(state.lowered) << "dce before lowering";
-  state.changes = EliminateDeadCode(*state.result.spmd.mutable_main());
+Status OptimizeSpmdPass::Run(PipelineState& state) {
+  PARTIR_CHECK(state.lowered) << "optimize-spmd before lowering";
+  state.changes = OptimizeSpmd(state.result.spmd, rewrites_);
   return Status::Ok();
 }
 

@@ -88,29 +88,17 @@ class LowerToSpmdPass : public Pass {
   Status Run(PipelineState& state) override;
 };
 
-/** Gather/slice fusion family of the SPMD peephole: all_gather/all_slice
- *  cancellation and all_to_all formation, slice CSE, slice-of-constant
- *  folding, no-op collective removal. */
-class FuseGatherSlicePass : public Pass {
+/** Collective optimization of the lowered module: OptimizeSpmd with the
+ *  pipeline variant's rewrite families (gather/slice fusion, reduce-scatter
+ *  formation) plus DCE, to fixpoint. */
+class OptimizeSpmdPass : public Pass {
  public:
+  explicit OptimizeSpmdPass(unsigned rewrites) : rewrites_(rewrites) {}
   std::string name() const override;
   Status Run(PipelineState& state) override;
-};
 
-/** Reduce-scatter formation family: all_reduce->all_slice chains (including
- *  the multi-axis partial-residual embedding case), adjacent all_reduce
- *  merging, and partial-sum linearity fusion. */
-class FormReduceScatterPass : public Pass {
- public:
-  std::string name() const override;
-  Status Run(PipelineState& state) override;
-};
-
-/** Dead-code elimination over the lowered module. */
-class DcePass : public Pass {
- public:
-  std::string name() const override;
-  Status Run(PipelineState& state) override;
+ private:
+  unsigned rewrites_;
 };
 
 /** Precomputes the collective plan (replica groups, parsed attributes) so

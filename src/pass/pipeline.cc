@@ -4,6 +4,7 @@
 
 #include "src/pass/passes.h"
 #include "src/sim/cost_model.h"
+#include "src/spmd/optimize.h"
 
 namespace partir {
 
@@ -45,13 +46,8 @@ void BuildPartitionPipeline(PassManager& manager,
                              /*final_loops=*/true});
   }
   manager.AddPass(std::make_unique<LowerToSpmdPass>());
-  std::vector<std::unique_ptr<Pass>> optimize;
-  optimize.push_back(std::make_unique<FuseGatherSlicePass>());
-  if (variant.form_reduce_scatter) {
-    optimize.push_back(std::make_unique<FormReduceScatterPass>());
-  }
-  optimize.push_back(std::make_unique<DcePass>());
-  manager.AddFixpoint(std::move(optimize), /*max_iterations=*/8);
+  manager.AddPass(std::make_unique<OptimizeSpmdPass>(
+      variant.form_reduce_scatter ? kRewriteAllSpmd : kRewriteGatherSlice));
   manager.AddPass(std::make_unique<PlanCollectivesPass>());
   manager.AddPass(std::make_unique<CompileDeviceProgramsPass>());
   if (options.analyze) {
@@ -68,6 +64,10 @@ StatusOr<PartitionResult> RunPartitionPipeline(
   pipeline_options.capture_snapshots = options.capture_stages;
   PassManager manager(pipeline_options);
   BuildPartitionPipeline(manager, schedule, options, variant);
+  // Set once, before any pass: every propagation on this context — manual
+  // tactics, the MCTS search states copied from it — realizes boundaries
+  // the same way.
+  ctx.set_boundary_realization(options.boundary_realization);
 
   PartitionResult result;
   PipelineState state(ctx, schedule, options, result);

@@ -3,8 +3,11 @@
  * THE declaration of the partitioning pipeline: every Program::Partition /
  * Executable::Respecialize (and the partition-cache miss path) compiles by
  * building this pass pipeline and running it through a PassManager. New
- * rewrite stages — serving batcher pre-passes, additional collective
- * formations, autopart instrumentation — are added here and nowhere else.
+ * rewrite stages — serving batcher pre-passes, autopart instrumentation —
+ * are added here and nowhere else. New collective formations go into
+ * OptimizeSpmd's peephole (src/spmd/optimize.h) instead: the optimize-spmd
+ * pass, the MCTS, the per-tactic reports and the GSPMD baseline share that
+ * one loop, so every path scores the program that ships.
  */
 #ifndef PARTIR_PASS_PIPELINE_H_
 #define PARTIR_PASS_PIPELINE_H_
@@ -22,7 +25,8 @@ namespace partir {
  * partition cache (callers that ablate must run the pipeline directly).
  */
 struct PipelineVariant {
-  /** Include the form-reduce-scatter pass in the optimization fixpoint. */
+  /** Include reduce-scatter formation in the optimize-spmd rewrites (off:
+   *  gather/slice fusion only). */
   bool form_reduce_scatter = true;
 };
 
@@ -35,8 +39,10 @@ struct PipelineVariant {
  *   then:          propagate        (PartIR-st: single deferred propagation)
  *                  materialize-loops (capture_stages: final loop form)
  *                  lower-to-spmd
- *   to fixpoint:   fuse-gather-slice | form-reduce-scatter | dce
+ *                  optimize-spmd    (OptimizeSpmd: peephole + DCE to fixpoint)
  *   finally:       plan-collectives
+ *                  compile-device-programs
+ *                  static-analysis  (analyze)
  */
 void BuildPartitionPipeline(PassManager& manager,
                             const std::vector<Tactic>& schedule,
@@ -46,8 +52,9 @@ void BuildPartitionPipeline(PassManager& manager,
 /**
  * Runs the full pipeline over a fresh context and finalizes the result
  * (final collective counts, estimate, conflicts, per-pass statistics).
- * This is PartirJitOrError's engine; call it directly to ablate passes
- * through a PipelineVariant (the bench before/after rows).
+ * Sets the context's boundary_realization flag from `options` before any
+ * pass runs. This is PartirJitOrError's engine; call it directly to ablate
+ * passes through a PipelineVariant (the bench before/after rows).
  */
 StatusOr<PartitionResult> RunPartitionPipeline(
     PartitionContext& ctx, const std::vector<Tactic>& schedule,

@@ -42,22 +42,20 @@ struct PipelineOptions {
   bool capture_snapshots = false;
 };
 
-/** Statistics of one registered pass, accumulated over every time it ran
- *  (fixpoint groups run their member passes several times). */
+/** Statistics of one registered pass's run. */
 struct PassStats {
   std::string name;
-  double seconds = 0;      // total wall-clock across runs
-  int64_t runs = 0;        // times the pass executed
+  double seconds = 0;      // wall-clock
+  int64_t runs = 0;        // 1 once the pass executed
   int64_t changes = 0;     // rewrites / actions / propagation steps applied
-  int64_t ops_before = 0;  // op count entering the first run
-  int64_t ops_after = 0;   // op count leaving the last run
+  int64_t ops_before = 0;  // op count entering the pass
+  int64_t ops_after = 0;   // op count leaving the pass
   /** True once the pass ran on the lowered device-local module, making the
    *  collective counts below meaningful. */
   bool lowered = false;
-  /** Collective counts after the pass FIRST ran on the lowered module —
-   *  the per-stage Table 3 breakdown used to debug collective formation.
-   *  For fixpoint groups this is the first-iteration delta (which pass
-   *  formed what); later iterations see only the converged module. */
+  /** Collective counts after the pass ran on the lowered module — the
+   *  per-stage Table 3 breakdown (lower-to-spmd vs. optimize-spmd) used to
+   *  debug collective formation. */
   CollectiveStats collectives;
 };
 

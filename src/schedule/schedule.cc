@@ -29,24 +29,20 @@ std::vector<Value*> SelectValues(PartitionContext& ctx,
 
 /**
  * Applies one (value, dim, axis) action. Returns the number of actions that
- * took effect (0 or 1). In strict mode a *malformed* explicit-dim tile
- * (dim out of range, indivisible dim) is an error, while a *state* conflict
- * (value already tiled or atomic on the axis) is a skip: tactic order
- * resolves layout conflicts (Section 5.2.3), and re-layout tactics like MQ
- * legitimately re-declare placements that propagation already inferred.
- * kFirstDivisibleDim stays best-effort in both modes because its contract
- * is "shard if some dim divides" (ZeRO-style tactics rely on skipping
- * values that are already placed or atomic).
+ * took effect (0 or 1). A *malformed* explicit-dim tile (dim out of range,
+ * indivisible dim) is an error, while a *state* conflict (value already
+ * tiled or atomic on the axis) is a skip: tactic order resolves layout
+ * conflicts (Section 5.2.3), and re-layout tactics like MQ legitimately
+ * re-declare placements that propagation already inferred.
+ * kFirstDivisibleDim is best-effort because its contract is "shard if some
+ * dim divides" (ZeRO-style tactics rely on skipping values that are
+ * already placed or atomic).
  */
 StatusOr<int> ApplyActionToValue(PartitionContext& ctx, Value* value,
-                                 int64_t dim, const std::string& axis,
-                                 bool strict) {
+                                 int64_t dim, const std::string& axis) {
   if (!value->type().IsTensor()) {
-    if (strict) {
-      return InvalidArgumentError("matched value '", value->name(),
-                                  "' is not a tensor");
-    }
-    return 0;
+    return InvalidArgumentError("matched value '", value->name(),
+                                "' is not a tensor");
   }
   if (dim == kReplicated) {
     ctx.AtomicValue(value, axis);
@@ -68,14 +64,14 @@ StatusOr<int> ApplyActionToValue(PartitionContext& ctx, Value* value,
   if (ctx.state(value).DimOfAxis(axis) == dim) return 0;
   Status status = ctx.TileValueOrError(value, dim, axis);
   if (status.ok()) return 1;
-  if (strict && status.code() != StatusCode::kFailedPrecondition) {
-    return status;
-  }
+  if (status.code() != StatusCode::kFailedPrecondition) return status;
   return 0;
 }
 
-StatusOr<int> ApplyTactic(PartitionContext& ctx,
-                          const ManualPartition& tactic, bool strict) {
+}  // namespace
+
+StatusOr<int> ApplyManualTacticOrError(PartitionContext& ctx,
+                                       const ManualPartition& tactic) {
   if (!ctx.mesh().HasAxis(tactic.axis)) {
     return InvalidArgumentError("tactic '", tactic.name,
                                 "': unknown mesh axis '", tactic.axis,
@@ -84,13 +80,12 @@ StatusOr<int> ApplyTactic(PartitionContext& ctx,
   int applied = 0;
   for (const auto& [key, dim] : tactic.inputs) {
     std::vector<Value*> values = SelectValues(ctx, key);
-    if (strict && values.empty()) {
+    if (values.empty()) {
       return NotFoundError("tactic '", tactic.name, "': key '", key,
                            "' matches no function input or tagged value");
     }
     for (Value* value : values) {
-      StatusOr<int> action =
-          ApplyActionToValue(ctx, value, dim, tactic.axis, strict);
+      StatusOr<int> action = ApplyActionToValue(ctx, value, dim, tactic.axis);
       if (!action.ok()) {
         return Status(action.status().code(),
                       StrCat("tactic '", tactic.name, "': ",
@@ -102,33 +97,12 @@ StatusOr<int> ApplyTactic(PartitionContext& ctx,
   return applied;
 }
 
-}  // namespace
-
-StatusOr<int> ApplyManualTacticOrError(PartitionContext& ctx,
-                                       const ManualPartition& tactic) {
-  return ApplyTactic(ctx, tactic, /*strict=*/true);
-}
-
-int ApplyManualTactic(PartitionContext& ctx, const ManualPartition& tactic) {
-  StatusOr<int> applied = ApplyTactic(ctx, tactic, /*strict=*/false);
-  if (!applied.ok()) PARTIR_FATAL() << applied.status().ToString();
-  return applied.value();
-}
-
 StatusOr<PartitionResult> PartirJitOrError(PartitionContext& ctx,
                                            const std::vector<Tactic>& schedule,
                                            const PartitionOptions& options) {
   // The pipeline is declared once, as a pass pipeline (pipeline.cc); this
   // is just its facade-facing name.
   return RunPartitionPipeline(ctx, schedule, options);
-}
-
-PartitionResult PartirJit(PartitionContext& ctx,
-                          const std::vector<Tactic>& schedule,
-                          const PartitionOptions& options) {
-  StatusOr<PartitionResult> result = PartirJitOrError(ctx, schedule, options);
-  if (!result.ok()) PARTIR_FATAL() << result.status().ToString();
-  return std::move(result).value();
 }
 
 }  // namespace partir

@@ -3,9 +3,9 @@
  * The PartIR schedule API (paper Section 3, Table 1): users compose
  * ManualPartition and AutomaticPartition *tactics*; each tactic desugars
  * into tile/atomic compiler actions followed by propagation, applied
- * incrementally. `PartirJit` runs a schedule through the whole stack —
- * actions -> propagation -> SPMD lowering -> collective optimization — and
- * returns the device-local module together with per-tactic metadata
+ * incrementally. `PartirJitOrError` runs a schedule through the whole
+ * stack — actions -> propagation -> SPMD lowering -> collective
+ * optimization — and returns the device-local module with per-tactic metadata
  * (collective breakdown and simulator estimates), the paper's headline
  * "verify the strategy after every tactic" workflow.
  */
@@ -96,14 +96,15 @@ struct PartitionOptions {
   /**
    * Boundary-aware propagation realization (Section 5.2.2 realization of
    * partial values): at realization boundaries — normalization statistics,
-   * softmax-style reductions, and the projections they feed — the Propagate
-   * pass consults the cost model (ChooseBoundaryRealization) to realize
-   * each contracting step as an all_gather of the tiled operands, an
-   * all_reduce of the partial, or a reduce_scatter re-tiling on the
-   * gradient path, instead of hard-coding all_reduce. Turning this off is
-   * the ablation that restores the historical all-AR realization (the T32
-   * standalone-EMB row degrades from 256/193/128/0 to 0/355/0/0). Part of
-   * the cache key (it changes the partitioned program).
+   * softmax-style reductions, and the projections they feed — propagation
+   * consults the cost model (ChooseBoundaryRealization) to realize each
+   * contracting step as an all_gather of the tiled operands, an all_reduce
+   * of the partial, or a reduce_scatter re-tiling on the gradient path,
+   * instead of hard-coding all_reduce. It applies to every propagation of
+   * the run: manual tactics and the AutomaticPartition search alike.
+   * Turning this off is the ablation that restores the historical all-AR
+   * realization (the T32 standalone-EMB row degrades from 256/193/128/0 to
+   * 0/355/0/0). Part of the cache key (it changes the partitioned program).
    */
   bool boundary_realization = true;
   /** Consult (and populate) the Program's partition cache. Turn off to
@@ -173,17 +174,6 @@ StatusOr<PartitionResult> PartirJitOrError(
  */
 StatusOr<int> ApplyManualTacticOrError(PartitionContext& ctx,
                                        const ManualPartition& tactic);
-
-/** Deprecated abort-on-error form of PartirJitOrError. */
-PartitionResult PartirJit(PartitionContext& ctx,
-                          const std::vector<Tactic>& schedule,
-                          const PartitionOptions& options = {});
-
-/**
- * Deprecated silent best-effort form of ApplyManualTacticOrError: unmatched
- * keys and failed actions are skipped without diagnosis.
- */
-int ApplyManualTactic(PartitionContext& ctx, const ManualPartition& tactic);
 
 }  // namespace partir
 

@@ -61,7 +61,7 @@ double EstimatePeakMemory(const Func& func);
 
 /**
  * Per-realization communication cost of one contracting boundary step
- * (PartitionContext::SetRealizationPolicy), in bytes moved per device under
+ * (PartitionContext::boundary_realization), in bytes moved per device under
  * the standard ring-collective model over the k-way mesh axis:
  *   gather  = sum over contract-tiled operands of (k-1)/k * full bytes
  *   reduce  = 2 (k-1)/k * result bytes   (reduce-scatter + all-gather)
@@ -79,8 +79,9 @@ RealizationCost ScoreBoundaryRealization(const PartitionContext& ctx,
                                          const BoundarySite& site);
 
 /**
- * The default realization policy the Propagate pass installs when
- * PartitionOptions::boundary_realization is on: classifies the boundary
+ * The boundary realization PartitionContext::Propagate applies when the
+ * context's boundary_realization flag is on (PartitionOptions::
+ * boundary_realization, set by RunPartitionPipeline): classifies the boundary
  * (normalization statistics vs. the projections they feed vs. everything
  * else) and picks the realization ScoreBoundaryRealization favors among the
  * ones structurally admissible for that class. May pin the site's result

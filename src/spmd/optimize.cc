@@ -453,13 +453,13 @@ int64_t RunSpmdPeephole(SpmdModule& spmd, unsigned rewrites) {
   return Peephole(spmd, rewrites).RunOnce();
 }
 
-int64_t OptimizeSpmd(SpmdModule& spmd) {
+int64_t OptimizeSpmd(SpmdModule& spmd, unsigned rewrites) {
   int64_t total = 0;
   for (int iteration = 0; iteration < 8; ++iteration) {
-    int64_t rewrites = RunSpmdPeephole(spmd, kRewriteAllSpmd);
+    int64_t applied = RunSpmdPeephole(spmd, rewrites);
     EliminateDeadCode(*spmd.mutable_main());
-    total += rewrites;
-    if (rewrites == 0) break;
+    total += applied;
+    if (applied == 0) break;
   }
   return total;
 }

@@ -1,7 +1,7 @@
 /**
  * @file
  * SPMD-level collective optimizations (Section 6), as two maskable rewrite
- * families the pass pipeline registers as separate passes:
+ * families applied together in one peephole sweep:
  *
  * Gather/slice fusion (kRewriteGatherSlice):
  *   - all_gather + all_slice of the same axes           -> cancel / all_to_all
@@ -21,7 +21,7 @@
  *   - transpose of a single-use all_reduce commutes inside it
  *
  * plus dead-code elimination. Collective counts (Table 3) and cost estimates
- * are taken after these passes, as in the paper.
+ * are taken after these rewrites, as in the paper.
  */
 #ifndef PARTIR_SPMD_OPTIMIZE_H_
 #define PARTIR_SPMD_OPTIMIZE_H_
@@ -52,13 +52,14 @@ inline constexpr unsigned kRewriteAllSpmd =
 int64_t RunSpmdPeephole(SpmdModule& spmd, unsigned rewrites);
 
 /**
- * Optimizes the SPMD module in place: all rewrite families plus DCE, to
- * fixpoint. The compiler-internal convenience used by hot paths that bypass
- * the pass pipeline (one MCTS candidate evaluation lowers and optimizes per
- * simulation); the facade pipeline runs the same rewrites as separate
- * registered passes. Returns the number of rewrites applied.
+ * Optimizes the SPMD module in place: one peephole sweep over the masked
+ * rewrite families plus DCE per iteration, until a sweep applies nothing
+ * (at most 8 iterations). The one collective-optimization loop: the
+ * pipeline's optimize-spmd pass, the MCTS evaluations, the per-tactic
+ * reports and the GSPMD baseline all run it, so the simulator scores the
+ * program that ships. Returns the number of rewrites applied.
  */
-int64_t OptimizeSpmd(SpmdModule& spmd);
+int64_t OptimizeSpmd(SpmdModule& spmd, unsigned rewrites = kRewriteAllSpmd);
 
 /** Collective-communication counts of a module (the rows of Table 3). */
 struct CollectiveStats {

@@ -299,8 +299,8 @@ Operation* AppendAxesPerDimCollective(Func* func, OpKind kind, Value* operand,
 
 TEST(LintTest, GatherSliceRoundTripIsFlagged) {
   // all_slice(all_gather(x)) with the same axes_per_dim: the redundant
-  // data motion fuse-gather-slice exists to remove. A survivor must come
-  // back as a redundant-collective warning, not silence.
+  // data motion optimize-spmd's gather/slice fusion exists to remove. A
+  // survivor must come back as a redundant-collective warning, not silence.
   SpmdModule spmd;
   spmd.module = std::make_unique<Module>();
   spmd.mesh = Mesh({{"B", 2}});

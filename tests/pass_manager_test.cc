@@ -1,10 +1,9 @@
 // Tests for the pass-manager compilation pipeline: pass ordering, per-pass
-// statistics accumulation (including fixpoint groups), verifier failures
-// surfacing as typed Status (never an abort), snapshot capture per stage,
-// the collective-plan invalidation helper, the new reduce-scatter-formation
-// cases, and bit-identical Executable::Run outputs versus the pre-refactor
-// pipeline (the same stage functions composed by hand) on all five example
-// workloads.
+// statistics, verifier failures surfacing as typed Status (never an
+// abort), snapshot capture per stage, the collective-plan invalidation
+// helper, the new reduce-scatter-formation cases, and bit-identical
+// Executable::Run outputs versus the pre-refactor pipeline (the same stage
+// functions composed by hand) on all five example workloads.
 #include <gtest/gtest.h>
 
 #include <cstring>
@@ -42,27 +41,20 @@ struct Fixture {
   PartitionResult result;
 };
 
-/** Appends its label to a shared log; optionally reports fake changes. */
+/** Appends its label to a shared log. */
 class RecordingPass : public Pass {
  public:
-  RecordingPass(std::string label, std::vector<std::string>* log,
-                int* changes_budget = nullptr)
-      : label_(std::move(label)), log_(log),
-        changes_budget_(changes_budget) {}
+  RecordingPass(std::string label, std::vector<std::string>* log)
+      : label_(std::move(label)), log_(log) {}
   std::string name() const override { return label_; }
-  Status Run(PipelineState& state) override {
+  Status Run(PipelineState&) override {
     log_->push_back(label_);
-    if (changes_budget_ != nullptr && *changes_budget_ > 0) {
-      --*changes_budget_;
-      state.changes = 1;
-    }
     return Status::Ok();
   }
 
  private:
   std::string label_;
   std::vector<std::string>* log_;
-  int* changes_budget_;
 };
 
 TEST(PassManagerTest, RunsPassesInRegistrationOrder) {
@@ -82,42 +74,6 @@ TEST(PassManagerTest, RunsPassesInRegistrationOrder) {
   for (const PassStats& stats : manager.stats().passes) {
     EXPECT_EQ(stats.runs, 1);
   }
-}
-
-TEST(PassManagerTest, FixpointGroupRepeatsUntilNoChanges) {
-  Fixture fixture;
-  PartitionContext ctx(fixture.program.func(), Mesh({{"B", 4}}));
-  PipelineState state(ctx, fixture.schedule, fixture.options, fixture.result);
-  std::vector<std::string> log;
-  int budget = 3;  // first three runs report a change, then quiescent
-  std::vector<std::unique_ptr<Pass>> group;
-  group.push_back(
-      std::make_unique<RecordingPass>("rewrite", &log, &budget));
-  group.push_back(std::make_unique<RecordingPass>("cleanup", &log));
-  PassManager manager;
-  manager.AddFixpoint(std::move(group), /*max_iterations=*/8);
-  ASSERT_TRUE(manager.Run(state).ok());
-  // Iterations 1..3 apply a change; iteration 4 is quiescent and stops.
-  ASSERT_EQ(manager.stats().passes.size(), 2u);
-  EXPECT_EQ(manager.stats().passes[0].runs, 4);
-  EXPECT_EQ(manager.stats().passes[0].changes, 3);
-  EXPECT_EQ(manager.stats().passes[1].runs, 4);
-  EXPECT_EQ(log.size(), 8u);
-}
-
-TEST(PassManagerTest, FixpointGroupHonorsMaxIterations) {
-  Fixture fixture;
-  PartitionContext ctx(fixture.program.func(), Mesh({{"B", 4}}));
-  PipelineState state(ctx, fixture.schedule, fixture.options, fixture.result);
-  std::vector<std::string> log;
-  int budget = 100;  // never quiescent
-  std::vector<std::unique_ptr<Pass>> group;
-  group.push_back(
-      std::make_unique<RecordingPass>("rewrite", &log, &budget));
-  PassManager manager;
-  manager.AddFixpoint(std::move(group), /*max_iterations=*/3);
-  ASSERT_TRUE(manager.Run(state).ok());
-  EXPECT_EQ(manager.stats().passes[0].runs, 3);
 }
 
 // ---- Verifier failures surface as typed Status ----
@@ -225,17 +181,17 @@ TEST(PipelineStatsTest, PerPassTimingsAndOpDeltasAreRecorded) {
   EXPECT_TRUE(lower->lowered);
   EXPECT_GT(lower->ops_after, 0);
 
-  // The collective-optimization fixpoint ran to quiescence and its members
-  // report per-stage collective counts matching the final module.
-  const PassStats* form_rs = stats.Find("form-reduce-scatter");
-  ASSERT_NE(form_rs, nullptr);
-  EXPECT_GE(form_rs->runs, 2);  // at least one quiescent confirmation round
-  EXPECT_TRUE(form_rs->lowered);
-  // plan-collectives runs once after the fixpoint converged, so its counts
-  // are the final Table 3 numbers.
+  // The collective optimization (OptimizeSpmd) ran once, on the lowered
+  // module, and its counts are the shipped ones: plan-collectives after it
+  // changes no collective.
+  const PassStats* optimize = stats.Find("optimize-spmd");
+  ASSERT_NE(optimize, nullptr);
+  EXPECT_EQ(optimize->runs, 1);
+  EXPECT_TRUE(optimize->lowered);
   const PassStats* plan = stats.Find("plan-collectives");
   ASSERT_NE(plan, nullptr);
-  EXPECT_EQ(plan->collectives.all_reduce, exe.Collectives().all_reduce);
+  EXPECT_EQ(optimize->collectives.ToString(), exe.Collectives().ToString());
+  EXPECT_EQ(plan->collectives.ToString(), exe.Collectives().ToString());
 
   // Propagation ran once per tactic and applied nest entries.
   const PassStats* propagate = stats.Find("propagate");
@@ -458,6 +414,7 @@ void ExpectMatchesPreRefactorPipeline(Program& program,
       exe.Run(inputs, RunOptions{}).value();
 
   PartitionContext ctx(program.func(), mesh);
+  ctx.set_boundary_realization(options.boundary_realization);
   for (const Tactic& tactic : schedule) {
     if (const auto* manual = std::get_if<ManualPartition>(&tactic)) {
       ASSERT_TRUE(ApplyManualTacticOrError(ctx, *manual).ok()) << label;

@@ -3,6 +3,7 @@
 // baseline — the pieces the experiment harness composes.
 #include <gtest/gtest.h>
 
+#include "src/api/partir.h"
 #include "src/autopart/mcts.h"
 #include "src/baseline/gspmd.h"
 #include "src/ir/builder.h"
@@ -42,7 +43,7 @@ TEST(ScheduleTest, PerTacticReportsShowIncrementalProgress) {
   options.per_tactic_reports = true;
   ManualPartition bp{"BP", {{"x", 0}}, "B"};
   ManualPartition mp{"MP", {{"w1", 1}}, "M"};
-  PartitionResult result = PartirJit(ctx, {bp, mp}, options);
+  PartitionResult result = PartirJitOrError(ctx, {bp, mp}, options).value();
   ASSERT_EQ(result.tactics.size(), 2u);
   EXPECT_EQ(result.tactics[0].name, "BP");
   EXPECT_EQ(result.tactics[0].collectives.all_reduce, 0);
@@ -51,6 +52,33 @@ TEST(ScheduleTest, PerTacticReportsShowIncrementalProgress) {
   // Memory drops as the second tactic shards the weights.
   EXPECT_LE(result.tactics[1].estimate.peak_memory_bytes,
             result.tactics[0].estimate.peak_memory_bytes);
+}
+
+TEST(ScheduleTest, AutoTacticReportMatchesTheShippedProgram) {
+  // The per-tactic report of an auto-only schedule lowers and optimizes the
+  // same state the pipeline ships, through the same OptimizeSpmd loop: its
+  // collective counts and estimate are the shipped ones, not an
+  // approximation of them.
+  TransformerConfig config = TransformerConfig::T32Scaled();
+  config.num_layers = 2;
+  Program program = Program::Capture([&](Module& module) {
+    return BuildTransformerTrainingStep(module, config);
+  });
+  AutomaticPartition automatic;
+  automatic.name = "auto";
+  automatic.axes = {"batch", "model"};
+  automatic.options.simulations = 24;
+  Executable exe =
+      program.Partition({automatic}, Mesh({{"batch", 4}, {"model", 2}}))
+          .value();
+  ASSERT_EQ(exe.tactics().size(), 1u);
+  const TacticReport& report = exe.tactics()[0];
+  EXPECT_GT(report.actions_applied, 0);
+  EXPECT_EQ(report.collectives.ToString(), exe.Collectives().ToString());
+  EXPECT_DOUBLE_EQ(report.collectives.comm_bytes,
+                   exe.Collectives().comm_bytes);
+  EXPECT_DOUBLE_EQ(report.estimate.step_seconds,
+                   exe.Estimate().step_seconds);
 }
 
 TEST(ScheduleTest, SubstringKeysMatchAllBlocks) {
@@ -68,7 +96,7 @@ TEST(ScheduleTest, SubstringKeysMatchAllBlocks) {
   PartitionContext ctx(loss, Mesh({{"model", 2}}));
   // One key shards all three blocks' wq.
   ManualPartition mp{"MP", {{"wq", 1}}, "model"};
-  EXPECT_EQ(ApplyManualTactic(ctx, mp), 3);
+  EXPECT_EQ(ApplyManualTacticOrError(ctx, mp).value(), 3);
 }
 
 TEST(ScheduleTest, FirstDivisibleDimSkipsIndivisible) {
@@ -79,7 +107,7 @@ TEST(ScheduleTest, FirstDivisibleDimSkipsIndivisible) {
   builder.Return({builder.Neg(w)});
   PartitionContext ctx(func, Mesh({{"B", 4}}));
   ManualPartition z{"Z", {{"w", kFirstDivisibleDim}}, "B"};
-  EXPECT_EQ(ApplyManualTactic(ctx, z), 1);
+  EXPECT_EQ(ApplyManualTacticOrError(ctx, z).value(), 1);
   EXPECT_EQ(ctx.state(w).DimOfAxis("B"), 2);  // first dim divisible by 4
 }
 
@@ -87,7 +115,7 @@ TEST(ScheduleTest, ReplicatedMarksAtomic) {
   Chain chain = BuildChain();
   PartitionContext ctx(chain.func, Mesh({{"B", 4}}));
   ManualPartition z2{"Z2", {{"w1", kReplicated}}, "B"};
-  ApplyManualTactic(ctx, z2);
+  ASSERT_TRUE(ApplyManualTacticOrError(ctx, z2).ok());
   EXPECT_TRUE(ctx.IsAtomic(chain.w1, "B"));
   // A later tile on the atomic value is refused.
   EXPECT_FALSE(ctx.TileValue(chain.w1, 0, "B"));
@@ -103,7 +131,7 @@ TEST(ScheduleTest, NonIncrementalModeDefersToOnePropagation) {
   // matmul; amalgamated, the conflict blocks propagation entirely.
   ManualPartition bp{"BP", {{"x", 0}}, "B"};
   ManualPartition z{"Z", {{"w1", 1}}, "B"};
-  PartitionResult result = PartirJit(ctx, {bp, z}, options);
+  PartitionResult result = PartirJitOrError(ctx, {bp, z}, options).value();
   EXPECT_FALSE(result.conflicts.empty());
 }
 
@@ -250,7 +278,7 @@ TEST(BaselineTest, GspmdMatchesPartirOnConflictFreeSchedule) {
   PartitionOptions options;
   options.per_tactic_reports = false;
   ManualPartition bp{"BP", {{"x", 0}}, "B"};
-  PartitionResult partir = PartirJit(partir_ctx, {bp}, options);
+  PartitionResult partir = PartirJitOrError(partir_ctx, {bp}, options).value();
 
   Chain b = BuildChain();
   PartitionContext gspmd_ctx(b.func, Mesh({{"B", 4}}));

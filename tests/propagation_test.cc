@@ -440,24 +440,23 @@ TEST(FactorsTest, StatisticsReduceClassifier) {
 }
 
 TEST(PropagationTest, PartialsStopAtStatisticsBoundary) {
-  // With the default boundary policy, the tiled partial stops at the
+  // With boundary realization on, the tiled partial stops at the
   // normalization statistic: no contracting entry is recorded for the
   // reduce (lowering gathers its operand instead of all_reducing partials).
   StatChain chain = BuildStatChain();
   PartitionContext ctx(chain.func, PaperMesh());
-  ctx.SetRealizationPolicy([&ctx](BoundarySite& site) {
-    return ChooseBoundaryRealization(ctx, site);
-  });
+  ctx.set_boundary_realization(true);
   ASSERT_TRUE(ctx.TileValue(chain.x0, 1, "M"));
   ctx.Propagate();
   EXPECT_TRUE(ctx.nest(chain.stats).empty());
   EXPECT_TRUE(ctx.state(chain.stats->result()).tiles.empty());
 }
 
-TEST(PropagationTest, StatisticsBoundaryAllReducedWithoutPolicy) {
-  // Same chain without a policy (the boundary_realization ablation): the
-  // historical behavior records the contracting entry, i.e. the statistic
-  // is computed from partials and all_reduced.
+TEST(PropagationTest, StatisticsBoundaryAllReducedWithRealizationOff) {
+  // Same chain with boundary realization off (the context default and the
+  // boundary_realization ablation): the historical behavior records the
+  // contracting entry, i.e. the statistic is computed from partials and
+  // all_reduced.
   StatChain chain = BuildStatChain();
   PartitionContext ctx(chain.func, PaperMesh());
   ASSERT_TRUE(ctx.TileValue(chain.x0, 1, "M"));
@@ -531,7 +530,7 @@ TEST(PropagationTest, BoundaryAblationRestoresAllReduceOnlyEmbRow) {
   options.use_cache = false;
   options.boundary_realization = false;
   PartitionResult result =
-      PartirJit(ctx, {schedules::TransformerEMB()}, options);
+      PartirJitOrError(ctx, {schedules::TransformerEMB()}, options).value();
   EXPECT_EQ(result.collectives.all_gather, 0);
   EXPECT_EQ(result.collectives.all_reduce, 355);
   EXPECT_EQ(result.collectives.reduce_scatter, 0);
@@ -554,17 +553,47 @@ TEST(PropagationTest, BoundaryRealizationEmbCountsScaleWithDepth) {
   options.per_tactic_reports = false;
   options.use_cache = false;
   PartitionResult result =
-      PartirJit(ctx, {schedules::TransformerEMB()}, options);
+      PartirJitOrError(ctx, {schedules::TransformerEMB()}, options).value();
   EXPECT_EQ(result.collectives.all_gather, 16);
   EXPECT_EQ(result.collectives.all_reduce, 13);
   EXPECT_EQ(result.collectives.reduce_scatter, 8);
   EXPECT_EQ(result.collectives.all_to_all, 0);
 }
 
+TEST(PropagationTest, BoundaryRealizationReachesTheAutomaticSearch) {
+  // PartIR-st {EMB, auto(model)}: the search propagates EMB's seeds before
+  // the deferred propagation pass runs, so the option only matters if the
+  // search's propagations (and the MCTS states copied from the context)
+  // honor it too. With it on, EMB's statistics boundaries gather instead
+  // of all_reducing partials.
+  TransformerConfig config = TransformerConfig::T32Scaled();
+  config.num_layers = 2;
+  Module module;
+  Func* step = BuildTransformerTrainingStep(module, config);
+  Mesh mesh({{"batch", 4}, {"model", 2}});
+  AutomaticPartition automatic;
+  automatic.name = "auto";
+  automatic.axes = {"model"};
+  std::vector<Tactic> schedule = {schedules::TransformerEMB(), automatic};
+  PartitionOptions options;
+  options.per_tactic_reports = false;
+  options.incremental = false;
+  PartitionContext on_ctx(step, mesh);
+  CollectiveStats on =
+      PartirJitOrError(on_ctx, schedule, options).value().collectives;
+  options.boundary_realization = false;
+  PartitionContext off_ctx(step, mesh);
+  CollectiveStats off =
+      PartirJitOrError(off_ctx, schedule, options).value().collectives;
+  EXPECT_NE(on.ToString(), off.ToString());
+  EXPECT_EQ(off.ToString(), "AG=12 AR=21 RS=5 A2A=0");
+  EXPECT_EQ(on.ToString(), "AG=37 AR=7 RS=5 A2A=0");
+}
+
 TEST(PropagationTest, SeededContractOperandKeepsAllReduceRealization) {
   // An explicitly seeded contract operand (Megatron row-sharded weight,
   // the tied embedding of the logits projection) expresses intent to
-  // compute with partials: the default policy keeps the all_reduce
+  // compute with partials: boundary realization keeps the all_reduce
   // realization even where a gather would be cheaper.
   Module module;
   Func* func = module.AddFunc("main");
@@ -575,9 +604,7 @@ TEST(PropagationTest, SeededContractOperandKeepsAllReduceRealization) {
   builder.Return({y});
 
   PartitionContext ctx(func, PaperMesh());
-  ctx.SetRealizationPolicy([&ctx](BoundarySite& site) {
-    return ChooseBoundaryRealization(ctx, site);
-  });
+  ctx.set_boundary_realization(true);
   ASSERT_TRUE(ctx.TileValue(w, 0, "M"));  // user seed on the contract dim
   ctx.Propagate();
   ASSERT_EQ(ctx.nest(y->def()).size(), 1u);

@@ -301,7 +301,7 @@ TEST(SpmdOptimizeTest, GatherSliceAcrossDimsBecomesAllToAll) {
   EXPECT_EQ(stats.all_slice, 0);
 }
 
-// ---- Reduce-scatter formation (the form-reduce-scatter pass family) ----
+// ---- Reduce-scatter formation (the kRewriteReduceScatter family) ----
 
 /** Builds an empty device-local module over `mesh` with a builder wired to
  *  its main function. */
