@@ -10,7 +10,6 @@
 
 #include "src/core/context.h"
 #include "src/ir/builder.h"
-#include "src/ir/passes.h"
 #include "src/spmd/lowering.h"
 #include "src/spmd/optimize.h"
 
@@ -89,11 +88,11 @@ void BM_OptimizeSpmd(benchmark::State& state) {
 }
 BENCHMARK(BM_OptimizeSpmd)->Arg(16)->Arg(64)->Arg(256);
 
-// One sweep of each rewrite family OptimizeSpmd combines (gather/slice
-// fusion, reduce-scatter formation, DCE), in isolation. The per-iteration
-// lowering that produces each fresh input module is excluded from the
-// measurement.
-void BM_Sweep(benchmark::State& state, unsigned mask, bool dce) {
+// OptimizeSpmd restricted to each rewrite family it combines (gather/slice
+// fusion, reduce-scatter formation), and with no family at all (the
+// incremental DCE alone). The per-iteration lowering that produces each
+// fresh input module is excluded from the measurement.
+void BM_Family(benchmark::State& state, unsigned mask) {
   int64_t layers = state.range(0);
   Func* func;
   Value* x;
@@ -105,23 +104,21 @@ void BM_Sweep(benchmark::State& state, unsigned mask, bool dce) {
     state.PauseTiming();
     SpmdModule spmd = LowerToSpmd(ctx);
     state.ResumeTiming();
-    if (mask != 0) RunSpmdPeephole(spmd, mask);
-    if (dce) EliminateDeadCode(*spmd.mutable_main());
+    OptimizeSpmd(spmd, mask);
     benchmark::DoNotOptimize(spmd.main()->body().num_ops());
   }
   state.SetItemsProcessed(state.iterations() * layers * 2);
 }
-void BM_GatherSliceSweep(benchmark::State& state) {
-  BM_Sweep(state, kRewriteGatherSlice, false);
+void BM_GatherSliceOnly(benchmark::State& state) {
+  BM_Family(state, kRewriteGatherSlice);
 }
-void BM_ReduceScatterSweep(benchmark::State& state) {
-  BM_Sweep(state, kRewriteReduceScatter | kRewriteReduceScatterPartial,
-           false);
+void BM_ReduceScatterOnly(benchmark::State& state) {
+  BM_Family(state, kRewriteReduceScatter | kRewriteReduceScatterPartial);
 }
-void BM_DceSweep(benchmark::State& state) { BM_Sweep(state, 0, true); }
-BENCHMARK(BM_GatherSliceSweep)->Arg(64)->Arg(256);
-BENCHMARK(BM_ReduceScatterSweep)->Arg(64)->Arg(256);
-BENCHMARK(BM_DceSweep)->Arg(64)->Arg(256);
+void BM_DceOnly(benchmark::State& state) { BM_Family(state, 0); }
+BENCHMARK(BM_GatherSliceOnly)->Arg(64)->Arg(256);
+BENCHMARK(BM_ReduceScatterOnly)->Arg(64)->Arg(256);
+BENCHMARK(BM_DceOnly)->Arg(64)->Arg(256);
 
 // The whole facade pipeline (actions -> propagation -> lowering ->
 // collective optimization) through one Program::Partition call. The

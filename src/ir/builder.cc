@@ -25,7 +25,8 @@ Operation* OpBuilder::Create(OpKind kind, std::vector<Value*> operands,
                              std::vector<Type> result_types) {
   auto op = std::make_unique<Operation>(kind, std::move(operands),
                                         std::move(result_types));
-  return block_->Append(std::move(op));
+  if (index_ < 0) return block_->Append(std::move(op));
+  return block_->Insert(index_++, std::move(op));
 }
 
 Value* OpBuilder::AppendOp(OpKind kind, std::vector<Value*> operands,

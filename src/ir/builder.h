@@ -13,13 +13,23 @@
 
 namespace partir {
 
-/** Builds operations at the end of a block. */
+/** Builds operations at the end of a block, or at an insertion point. */
 class OpBuilder {
  public:
   explicit OpBuilder(Block* block) : block_(block) {}
 
   Block* block() const { return block_; }
-  void SetInsertionBlock(Block* block) { block_ = block; }
+  /** Builds at the end of `block`. */
+  void SetInsertionBlock(Block* block) {
+    block_ = block;
+    index_ = -1;
+  }
+  /** Builds just before the operation at `index` of `block`; each created
+   *  op moves the insertion point past itself. */
+  void SetInsertionPoint(Block* block, int index) {
+    block_ = block;
+    index_ = index;
+  }
 
   /**
    * Provides mesh-axis sizes, required for building collectives whose result
@@ -176,6 +186,7 @@ class OpBuilder {
                        const std::vector<int64_t>& removed_dims);
 
   Block* block_;
+  int index_ = -1;
   std::function<int64_t(const std::string&)> axis_size_;
 };
 

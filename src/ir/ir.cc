@@ -69,6 +69,15 @@ Operation* Block::Append(std::unique_ptr<Operation> op) {
   return ops_.back().get();
 }
 
+Operation* Block::Insert(int index, std::unique_ptr<Operation> op) {
+  PARTIR_CHECK(index >= 0 && index <= num_ops()) << "insert out of range";
+  op->parent_ = this;
+  Operation* inserted = op.get();
+  ops_.insert(ops_.begin() + index, std::move(op));
+  BumpVersion();
+  return inserted;
+}
+
 void Block::BumpVersion() {
   ++version_;
   for (Operation* op = parent_op_; op != nullptr;) {

@@ -134,14 +134,18 @@ class Block {
 
   /** Appends an operation (takes ownership) and returns it. */
   Operation* Append(std::unique_ptr<Operation> op);
+  /** Inserts an operation (takes ownership) just before the operation at
+   *  `index` (appends when index == num_ops()) and returns it. */
+  Operation* Insert(int index, std::unique_ptr<Operation> op);
 
   /**
    * Monotonic mutation counter of this block *and every block nested under
    * an enclosing operation below it*: structural mutations (AddArg, Append,
-   * EraseIf, operand rewires, value type/name changes) bump this block and
-   * propagate to every enclosing block, so the version of a function's body
-   * covers its whole region tree. Cached derived state (the structural
-   * trace fingerprint the partition cache keys on) is keyed on it.
+   * Insert, EraseIf, operand rewires, value type/name changes) bump this
+   * block and propagate to every enclosing block, so the version of a
+   * function's body covers its whole region tree. Cached derived state (the
+   * structural trace fingerprint the partition cache keys on) is keyed on
+   * it.
    */
   uint64_t version() const { return version_; }
   /** Records a mutation: bumps this block and every enclosing block. */

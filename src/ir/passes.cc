@@ -1,6 +1,6 @@
 #include "src/ir/passes.h"
 
-#include <set>
+#include <unordered_set>
 
 namespace partir {
 namespace {
@@ -73,34 +73,28 @@ std::map<const Value*, int64_t> CountUses(const Func& func) {
 
 namespace {
 
-// Removes unused pure ops from a block (post-order over regions). Terminator
-// kinds (return/yield) are always kept.
+// Removes unused pure ops from a block (then from the regions of the ops
+// that stay). Terminator kinds (return/yield) are always kept. One reverse
+// pass suffices: an op's uses come after it, so a chain dies front to back.
 int64_t DceBlock(Block& block, std::map<const Value*, int64_t>& uses) {
-  int64_t removed = 0;
-  bool changed = true;
-  while (changed) {
-    changed = false;
-    // Iterate in reverse so chains die in one sweep.
-    for (auto it = block.ops().rbegin(); it != block.ops().rend(); ++it) {
-      Operation& op = **it;
-      if (op.kind() == OpKind::kReturn || op.kind() == OpKind::kYield) {
-        continue;
-      }
-      bool used = false;
-      for (int i = 0; i < op.num_results(); ++i) {
-        if (uses[op.result(i)] > 0) used = true;
-      }
-      if (used) continue;
-      for (Value* operand : op.operands()) --uses[operand];
-      // Mark for erasure by tagging with a sentinel attr.
-      op.attrs().Set("__dead", int64_t{1});
-      changed = true;
-      ++removed;
+  std::unordered_set<const Operation*> dead;
+  for (auto it = block.ops().rbegin(); it != block.ops().rend(); ++it) {
+    Operation& op = **it;
+    if (op.kind() == OpKind::kReturn || op.kind() == OpKind::kYield) {
+      continue;
     }
-    block.EraseIf([](const Operation& op) {
-      return op.attrs().GetOr<int64_t>("__dead", 0) == 1;
-    });
+    bool used = false;
+    for (int i = 0; i < op.num_results(); ++i) {
+      if (uses[op.result(i)] > 0) used = true;
+    }
+    if (used) continue;
+    for (Value* operand : op.operands()) --uses[operand];
+    dead.insert(&op);
   }
+  if (!dead.empty()) {
+    block.EraseIf([&](const Operation& op) { return dead.count(&op) != 0; });
+  }
+  int64_t removed = static_cast<int64_t>(dead.size());
   for (auto& op : block.ops()) {
     for (int r = 0; r < op->num_regions(); ++r) {
       removed += DceBlock(op->region(r).block(), uses);

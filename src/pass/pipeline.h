@@ -5,7 +5,7 @@
  * building this pass pipeline and running it through a PassManager. New
  * rewrite stages — serving batcher pre-passes, autopart instrumentation —
  * are added here and nowhere else. New collective formations go into
- * OptimizeSpmd's peephole (src/spmd/optimize.h) instead: the optimize-spmd
+ * OptimizeSpmd's worklist (src/spmd/optimize.h) instead: the optimize-spmd
  * pass, the MCTS, the per-tactic reports and the GSPMD baseline share that
  * one loop, so every path scores the program that ships.
  */
@@ -39,7 +39,8 @@ struct PipelineVariant {
  *   then:          propagate        (PartIR-st: single deferred propagation)
  *                  materialize-loops (capture_stages: final loop form)
  *                  lower-to-spmd
- *                  optimize-spmd    (OptimizeSpmd: peephole + DCE to fixpoint)
+ *                  optimize-spmd    (OptimizeSpmd: in-place rewrite + DCE
+ *                                    worklist, one call to the fixpoint)
  *   finally:       plan-collectives
  *                  compile-device-programs
  *                  static-analysis  (analyze)

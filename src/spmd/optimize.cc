@@ -1,11 +1,12 @@
 #include "src/spmd/optimize.h"
 
 #include <algorithm>
-#include <sstream>
 #include <map>
+#include <unordered_map>
+#include <unordered_set>
+#include <utility>
 
 #include "src/ir/builder.h"
-#include "src/ir/passes.h"
 #include "src/support/str_util.h"
 
 namespace partir {
@@ -37,137 +38,246 @@ bool AxesDisjoint(const std::vector<std::string>& a,
   return true;
 }
 
-// Rebuilds the function applying the enabled peephole rewrites; returns
-// rewrite count.
-class Peephole {
+// Applies the enabled rewrites to the module's main function in place, as
+// one use-driven worklist. Ops are visited in order and every pattern
+// matches the *current* producer of an operand, so a consumer sees its
+// producer's rewrite in the same visit. A rewrite inserts its replacement
+// ops just before the matched op (they are visited next) and forwards the
+// op's uses to them; ops left without uses are erased as they go
+// (incremental DCE). An op already visited goes back on the worklist when
+// one of its operands is replaced or drops to a single use, the two events
+// that can enable a rewrite on it, so the pass ends at a fixpoint.
+class Worklist {
  public:
-  Peephole(SpmdModule& spmd, unsigned rewrites)
-      : spmd_(spmd), enabled_(rewrites) {}
-
-  int64_t RunOnce() {
-    Func* func = spmd_.main();
-    uses_ = CountUses(*func);
-    Module scratch;
-    Func* next = scratch.AddFunc(func->name());
-    builder_.SetInsertionBlock(&next->body());
-    const Mesh& mesh = spmd_.mesh;
+  Worklist(SpmdModule& spmd, unsigned rewrites)
+      : body_(spmd.mutable_main()->body()), enabled_(rewrites) {
+    const Mesh& mesh = spmd.mesh;
     builder_.SetAxisSizeFn(
         [&mesh](const std::string& axis) { return mesh.AxisSize(axis); });
-    rewrites_ = 0;
-    map_.clear();
-    slice_cse_.clear();
-    for (const auto& arg : func->body().args()) {
-      map_[arg.get()] = next->body().AddArg(arg->type(), arg->name());
+  }
+
+  int64_t Run() {
+    for (const auto& op : body_.ops()) AddUses(*op);
+    // Dead code the lowering left behind, before any use count is read.
+    for (int i = body_.num_ops() - 1; i >= 0; --i) {
+      EraseIfUnused(body_.ops()[i].get());
     }
-    for (const auto& op : func->body().ops()) {
-      VisitOp(*op);
+    for (cursor_ = 0; cursor_ < body_.num_ops();) {
+      Operation* op = body_.ops()[cursor_].get();
+      if (dead_.count(op) != 0) {
+        ++cursor_;
+        continue;
+      }
+      visited_.insert(op);
+      // On a rewrite the replacement ops now sit at the cursor.
+      if (!Visit(op, cursor_)) ++cursor_;
+      while (!worklist_.empty()) {
+        Operation* again = worklist_.back();
+        worklist_.pop_back();
+        if (dead_.count(again) == 0) Visit(again, PositionOf(again));
+      }
     }
-    // Swap the rebuilt function into the module (through the helper that
-    // drops any precomputed collective plan).
-    auto fresh = std::make_unique<Module>();
-    CloneFunc(*next, *fresh, func->name(), nullptr);
-    spmd_.ResetModule(std::move(fresh));
+    if (!dead_.empty()) {
+      body_.EraseIf(
+          [&](const Operation& op) { return dead_.count(&op) != 0; });
+    }
     return rewrites_;
   }
 
  private:
   bool Enabled(unsigned mask) const { return (enabled_ & mask) != 0; }
 
-  Value* Mapped(const Value* value) {
-    auto it = map_.find(value);
-    PARTIR_CHECK(it != map_.end()) << "optimize: unmapped value";
-    return it->second;
+  int64_t Uses(const Value* value) const {
+    auto it = users_.find(value);
+    return it == users_.end() ? 0 : static_cast<int64_t>(it->second.size());
   }
 
-  Operation* CloneWithMappedOperands(const Operation& op) {
-    std::vector<Value*> operands;
-    for (const Value* operand : op.operands()) {
-      operands.push_back(Mapped(operand));
-    }
-    std::vector<Type> result_types;
-    for (int i = 0; i < op.num_results(); ++i) {
-      result_types.push_back(op.result(i)->type());
-    }
-    Operation* clone = builder_.Create(op.kind(), std::move(operands),
-                                       std::move(result_types));
-    for (const auto& [name, attr] : op.attrs().raw()) {
-      clone->attrs().Set(name, attr);
-    }
-    for (int i = 0; i < op.num_results(); ++i) {
-      clone->result(i)->set_name(op.result(i)->name());
-      map_[op.result(i)] = clone->result(i);
-    }
-    return clone;
+  void AddUses(Operation& op) {
+    for (Value* operand : op.operands()) users_[operand].push_back(&op);
   }
 
-  std::string SliceKey(const Operation& op) {
-    std::ostringstream key;
-    key << Mapped(op.operand(0));
-    for (const auto& list : op.attrs().Get<AxesPerDim>("axes_per_dim")) {
-      key << "|";
-      for (const std::string& axis : list) key << axis << ",";
+  // Position of an op before the cursor (only revisited ops need one).
+  int PositionOf(const Operation* op) const {
+    for (int i = cursor_ - 1; i >= 0; --i) {
+      if (body_.ops()[i].get() == op) return i;
     }
-    return key.str();
+    PARTIR_FATAL() << "optimize: revisited op not before the cursor";
   }
 
-  void VisitOp(const Operation& op) {
-    switch (op.kind()) {
-      case OpKind::kAllSlice: {
-        if (!Enabled(kRewriteGatherSlice)) {
-          if (!RewriteAllSlice(op)) CloneWithMappedOperands(op);
-          return;
-        }
-        // CSE identical slices: all_slice is communication-free and local,
-        // so sharing one shard among uses changes neither collective counts
-        // nor peak memory (unlike all_gather, which is deliberately
-        // per-use, Design decision #4).
-        std::string key = SliceKey(op);
-        auto seen = slice_cse_.find(key);
-        if (seen != slice_cse_.end()) {
-          map_[op.result()] = seen->second;
-          ++rewrites_;
-          return;
-        }
-        if (!RewriteAllSlice(op)) CloneWithMappedOperands(op);
-        slice_cse_[key] = map_[op.result()];
-        return;
+  void Revisit(Operation* op) {
+    if (visited_.count(op) != 0) worklist_.push_back(op);
+  }
+
+  // Matches `op` at position `pos`; on a rewrite, registers the inserted
+  // ops, forwards the op's uses and erases it.
+  bool Visit(Operation* op, int pos) {
+    builder_.SetInsertionPoint(&body_, pos);
+    visit_pos_ = pos;
+    // Erased ops stay in the block until the end, so only inserts move it.
+    int before = body_.num_ops();
+    Value* replacement = Match(*op);
+    if (replacement == nullptr) return false;
+    int inserted = body_.num_ops() - before;
+    for (int i = pos; i < pos + inserted; ++i) {
+      Operation* fresh = body_.ops()[i].get();
+      AddUses(*fresh);
+      // Behind the cursor the sweep will not reach them: queue them.
+      if (pos < cursor_) {
+        visited_.insert(fresh);
+        worklist_.push_back(fresh);
       }
+    }
+    if (pos < cursor_) cursor_ += inserted;
+    ++rewrites_;
+    ReplaceAllUses(op->result(), replacement);
+    return true;
+  }
+
+  void ReplaceAllUses(Value* from, Value* to) {
+    std::vector<Operation*> users = std::move(users_[from]);
+    users_.erase(from);
+    std::vector<Operation*>& to_users = users_[to];
+    for (Operation* user : users) {
+      // One entry per operand slot: rewire the first slot still on `from`.
+      for (int i = 0; i < user->num_operands(); ++i) {
+        if (user->operand(i) == from) {
+          user->set_operand(i, to);
+          break;
+        }
+      }
+      to_users.push_back(user);
+      Revisit(user);
+    }
+    EraseIfUnused(from->def());
+  }
+
+  // Erases `root` if none of its results is used, then every producer that
+  // loses its last use with it. Erased ops stay allocated (and out of the
+  // use lists) until the final compaction.
+  void EraseIfUnused(Operation* root) {
+    std::vector<Operation*> stack = {root};
+    while (!stack.empty()) {
+      Operation* op = stack.back();
+      stack.pop_back();
+      if (op == nullptr || dead_.count(op) != 0 ||
+          op->kind() == OpKind::kReturn || op->kind() == OpKind::kYield) {
+        continue;
+      }
+      bool used = false;
+      for (int i = 0; i < op->num_results(); ++i) {
+        if (Uses(op->result(i)) > 0) used = true;
+      }
+      if (used) continue;
+      dead_.insert(op);
+      for (Value* operand : op->operands()) {
+        std::vector<Operation*>& users = users_[operand];
+        users.erase(std::find(users.begin(), users.end(), op));
+        if (users.size() == 1) Revisit(users.front());
+        if (users.empty()) stack.push_back(operand->def());
+      }
+    }
+  }
+
+  bool Live(const Value* value) const {
+    return value->def() == nullptr || dead_.count(value->def()) == 0;
+  }
+
+  // Whether `value` is defined before the op being visited. Only a
+  // revisited op can have live, already-visited values after it.
+  bool DefinedBeforeVisit(const Value* value) const {
+    if (value->def() == nullptr || visit_pos_ == cursor_) return true;
+    for (int i = visit_pos_ - 1; i >= 0; --i) {
+      if (body_.ops()[i].get() == value->def()) return true;
+    }
+    return false;
+  }
+
+  // Forwards every user all_gather that undoes `slice` to the slice's
+  // operand (RewriteAllGather's cancellation, matched from the slice).
+  void CancelGathersOf(const Operation& slice) {
+    std::vector<Operation*> gathers;
+    for (Operation* user : users_[slice.result()]) {
+      if (user->kind() == OpKind::kAllGather) gathers.push_back(user);
+    }
+    for (Operation* gather : gathers) {
+      const auto& gather_axes =
+          gather->attrs().Get<AxesPerDim>("axes_per_dim");
+      if (AllEmpty(gather_axes) ||
+          AxisDims(gather_axes) !=
+              AxisDims(slice.attrs().Get<AxesPerDim>("axes_per_dim"))) {
+        continue;
+      }
+      ++rewrites_;
+      ReplaceAllUses(gather->result(), slice.operand(0));
+    }
+  }
+
+  // all_slice: cancellation against user all_gathers, CSE, then
+  // RewriteAllSlice.
+  Value* MatchAllSlice(const Operation& op) {
+    if (!Enabled(kRewriteGatherSlice)) return RewriteAllSlice(op);
+    // all_gather(all_slice(y)) cancels before the slice is rewritten (into
+    // a reduce_scatter or a local constant) and stops matching.
+    CancelGathersOf(op);
+    if (dead_.count(&op) != 0) return nullptr;
+    // CSE identical slices: all_slice is communication-free and local, so
+    // sharing one shard among uses changes neither collective counts nor
+    // peak memory (unlike all_gather, which is deliberately per-use, Design
+    // decision #4).
+    const auto& axes = op.attrs().Get<AxesPerDim>("axes_per_dim");
+    std::vector<SliceSeen>& seen = slices_[op.operand(0)];
+    auto same = std::find_if(
+        seen.begin(), seen.end(), [&](const SliceSeen& entry) {
+          return entry.first->attrs().Get<AxesPerDim>("axes_per_dim") == axes;
+        });
+    // Only a revisited slice can find its duplicate after itself.
+    if (same != seen.end() && same->first != &op && Live(same->second) &&
+        DefinedBeforeVisit(same->second)) {
+      return same->second;
+    }
+    Value* replacement = RewriteAllSlice(op);
+    SliceSeen entry = {&op, replacement != nullptr ? replacement : op.result()};
+    if (same == seen.end()) {
+      seen.push_back(entry);
+    } else {
+      *same = entry;
+    }
+    return replacement;
+  }
+
+  Value* Match(const Operation& op) {
+    switch (op.kind()) {
+      case OpKind::kAllSlice:
+        return MatchAllSlice(op);
       case OpKind::kAllGather:
-        if (Enabled(kRewriteGatherSlice) && RewriteAllGather(op)) return;
-        break;
+        return Enabled(kRewriteGatherSlice) ? RewriteAllGather(op) : nullptr;
       case OpKind::kAllReduce:
         // No-op removal belongs to the gather/slice family with the other
         // empty-axes collectives; merging is reduce-scatter formation.
         if (Enabled(kRewriteGatherSlice) &&
             op.attrs().Get<std::vector<std::string>>("axes").empty()) {
-          map_[op.result()] = Mapped(op.operand(0));
-          ++rewrites_;
-          return;
+          return op.operand(0);
         }
-        if (Enabled(kRewriteReduceScatter) && RewriteAllReduce(op)) return;
-        break;
+        return Enabled(kRewriteReduceScatter) ? RewriteAllReduce(op)
+                                              : nullptr;
       case OpKind::kAdd:
-        if (Enabled(kRewriteReduceScatter) && RewriteAddOfAllReduces(op)) {
-          return;
-        }
-        break;
+        return Enabled(kRewriteReduceScatter) ? RewriteAddOfAllReduces(op)
+                                              : nullptr;
       case OpKind::kTranspose:
-        if (RewriteTranspose(op)) return;
-        break;
+        return RewriteTranspose(op);
       default:
-        break;
+        return nullptr;
     }
-    CloneWithMappedOperands(op);
   }
 
   // Merges adjacent same-reduction all_reduces into one multi-axis
   // all_reduce — the normal form the reduce-scatter formation below
   // matches embedding-style multi-axis chains against.
-  bool RewriteAllReduce(const Operation& op) {
+  Value* RewriteAllReduce(const Operation& op) {
     const auto& axes = op.attrs().Get<std::vector<std::string>>("axes");
     const Operation* def = op.operand(0)->def();
     if (def != nullptr && def->kind() == OpKind::kAllReduce &&
-        uses_[def->result()] == 1 &&
+        Uses(def->result()) == 1 &&
         def->attrs().Get<std::string>("reduction") ==
             op.attrs().Get<std::string>("reduction") &&
         AxesDisjoint(def->attrs().Get<std::vector<std::string>>("axes"),
@@ -177,45 +287,37 @@ class Peephole {
       std::vector<std::string> merged =
           def->attrs().Get<std::vector<std::string>>("axes");
       merged.insert(merged.end(), axes.begin(), axes.end());
-      map_[op.result()] = builder_.AllReduce(
-          Mapped(def->operand(0)), merged,
-          op.attrs().Get<std::string>("reduction"));
-      ++rewrites_;
-      return true;
+      return builder_.AllReduce(def->operand(0), merged,
+                                op.attrs().Get<std::string>("reduction"));
     }
-    return false;
+    return nullptr;
   }
 
   // transpose with the identity permutation -> operand; transpose of a
   // single-use all_reduce commutes inside it (enables AR-sum fusion across
   // the transposes that dot VJPs emit).
-  bool RewriteTranspose(const Operation& op) {
+  Value* RewriteTranspose(const Operation& op) {
     const auto& perm = op.attrs().Get<std::vector<int64_t>>("perm");
     bool identity = true;
     for (size_t i = 0; i < perm.size(); ++i) {
       if (perm[i] != static_cast<int64_t>(i)) identity = false;
     }
     if (identity && Enabled(kRewriteGatherSlice)) {
-      map_[op.result()] = Mapped(op.operand(0));
-      ++rewrites_;
-      return true;
+      return op.operand(0);
     }
-    if (!Enabled(kRewriteReduceScatter)) return false;
+    if (!Enabled(kRewriteReduceScatter)) return nullptr;
     const Operation* def = op.operand(0)->def();
     if (def != nullptr && def->kind() == OpKind::kAllReduce &&
-        uses_[def->result()] == 1) {
+        Uses(def->result()) == 1) {
       Operation* transpose = builder_.Create(
-          OpKind::kTranspose, {Mapped(def->operand(0))},
-          {op.result()->type()});
+          OpKind::kTranspose, {def->operand(0)}, {op.result()->type()});
       transpose->attrs().Set("perm", perm);
-      map_[op.result()] = builder_.AllReduce(
+      return builder_.AllReduce(
           transpose->result(),
           def->attrs().Get<std::vector<std::string>>("axes"),
           def->attrs().Get<std::string>("reduction"));
-      ++rewrites_;
-      return true;
     }
-    return false;
+    return nullptr;
   }
 
   // add(all_reduce(x), all_reduce(y)) over the same axes (sum) and with no
@@ -223,51 +325,43 @@ class Peephole {
   // backend compilers apply to gradient accumulation; it is required for
   // Megatron's backward pass to cost exactly 2 extra AllReduces per layer
   // (the paper's "4 AR per layer" for forward+backward, Section 7.3).
-  bool RewriteAddOfAllReduces(const Operation& op) {
+  Value* RewriteAddOfAllReduces(const Operation& op) {
     const Operation* a = op.operand(0)->def();
     const Operation* b = op.operand(1)->def();
-    if (a == nullptr || b == nullptr) return false;
-    if (a->kind() != b->kind()) return false;
-    if (uses_[a->result()] != 1 || uses_[b->result()] != 1) return false;
+    if (a == nullptr || b == nullptr) return nullptr;
+    if (a->kind() != b->kind()) return nullptr;
+    if (Uses(a->result()) != 1 || Uses(b->result()) != 1) return nullptr;
     if (a->kind() == OpKind::kAllReduce) {
       const auto& axes_a = a->attrs().Get<std::vector<std::string>>("axes");
       const auto& axes_b = b->attrs().Get<std::vector<std::string>>("axes");
-      if (axes_a != axes_b) return false;
+      if (axes_a != axes_b) return nullptr;
       if (a->attrs().Get<std::string>("reduction") != "sum" ||
           b->attrs().Get<std::string>("reduction") != "sum") {
-        return false;
+        return nullptr;
       }
-      Value* sum =
-          builder_.Add(Mapped(a->operand(0)), Mapped(b->operand(0)));
-      map_[op.result()] = builder_.AllReduce(sum, axes_a, "sum");
-      ++rewrites_;
-      return true;
+      Value* sum = builder_.Add(a->operand(0), b->operand(0));
+      return builder_.AllReduce(sum, axes_a, "sum");
     }
     if (a->kind() == OpKind::kReduceScatter) {
       // Same linearity rewrite for reduce_scatter partial sums.
       const auto& axes_a = a->attrs().Get<AxesPerDim>("axes_per_dim");
       const auto& axes_b = b->attrs().Get<AxesPerDim>("axes_per_dim");
-      if (axes_a != axes_b) return false;
+      if (axes_a != axes_b) return nullptr;
       if (a->attrs().Get<std::string>("reduction") != "sum" ||
           b->attrs().Get<std::string>("reduction") != "sum") {
-        return false;
+        return nullptr;
       }
-      Value* sum =
-          builder_.Add(Mapped(a->operand(0)), Mapped(b->operand(0)));
-      map_[op.result()] = builder_.ReduceScatter(sum, axes_a, "sum");
-      ++rewrites_;
-      return true;
+      Value* sum = builder_.Add(a->operand(0), b->operand(0));
+      return builder_.ReduceScatter(sum, axes_a, "sum");
     }
-    return false;
+    return nullptr;
   }
 
-  bool RewriteAllSlice(const Operation& op) {
+  Value* RewriteAllSlice(const Operation& op) {
     const auto& slice_axes = op.attrs().Get<AxesPerDim>("axes_per_dim");
     if (AllEmpty(slice_axes)) {
-      if (!Enabled(kRewriteGatherSlice)) return false;
-      map_[op.result()] = Mapped(op.operand(0));
-      ++rewrites_;
-      return true;
+      if (!Enabled(kRewriteGatherSlice)) return nullptr;
+      return op.operand(0);
     }
     const Operation* def = op.operand(0)->def();
     // Pattern: all_slice(all_reduce(y)) -> reduce_scatter over the sliced
@@ -291,7 +385,7 @@ class Peephole {
         while (true) {
           const Operation* next = innermost->operand(0)->def();
           if (next == nullptr || next->kind() != OpKind::kAllReduce ||
-              uses_[innermost->operand(0)] != 1 ||
+              Uses(innermost->operand(0)) != 1 ||
               next->attrs().Get<std::string>("reduction") != reduction ||
               !AxesDisjoint(
                   reduce_axes,
@@ -317,7 +411,7 @@ class Peephole {
                                static_cast<int64_t>(sliced.size());
       if (scatterable &&
           (outside.empty() || Enabled(kRewriteReduceScatterPartial))) {
-        Value* y = Mapped(innermost->operand(0));
+        Value* y = innermost->operand(0);
         // Keep the attribute's per-dim axis order (it encodes the nested
         // tiling order of the shard layout).
         AxesPerDim scatter(slice_axes.size());
@@ -343,12 +437,10 @@ class Peephole {
           }
           rs = builder_.AllSlice(rs, residual);
         }
-        map_[op.result()] = rs;
-        ++rewrites_;
-        return true;
+        return rs;
       }
     }
-    if (!Enabled(kRewriteGatherSlice)) return false;
+    if (!Enabled(kRewriteGatherSlice)) return nullptr;
     // Pattern: all_slice(all_gather(y)): cancel matching axes; axes present
     // in both on different dims become all_to_all.
     if (def != nullptr && def->kind() == OpKind::kAllGather) {
@@ -362,7 +454,7 @@ class Peephole {
         (it->second == dim ? cancel : moved).push_back(axis);
       }
       if (!cancel.empty() || !moved.empty()) {
-        Value* y = Mapped(def->operand(0));
+        Value* y = def->operand(0);
         int rank = y->tensor_type().rank();
         // Axes moving dims: all_to_all directly on y.
         for (const std::string& axis : moved) {
@@ -387,9 +479,7 @@ class Peephole {
           any_slice = true;
         }
         if (any_slice) y = builder_.AllSlice(y, residual_slice);
-        map_[op.result()] = y;
-        ++rewrites_;
-        return true;
+        return y;
       }
     }
     // Pattern: all_slice(splat constant | iota) -> local constant.
@@ -399,9 +489,7 @@ class Peephole {
           def->attrs().Get<double>("splat"),
           op.result()->tensor_type().dims(),
           op.result()->tensor_type().dtype());
-      map_[op.result()] = local;
-      ++rewrites_;
-      return true;
+      return local;
     }
     if (def != nullptr && def->kind() == OpKind::kIota) {
       int64_t iota_dim = def->attrs().Get<int64_t>("dim");
@@ -409,20 +497,16 @@ class Peephole {
         Value* local = builder_.Iota(op.result()->tensor_type().dims(),
                                      iota_dim,
                                      op.result()->tensor_type().dtype());
-        map_[op.result()] = local;
-        ++rewrites_;
-        return true;
+        return local;
       }
     }
-    return false;
+    return nullptr;
   }
 
-  bool RewriteAllGather(const Operation& op) {
+  Value* RewriteAllGather(const Operation& op) {
     const auto& gather_axes = op.attrs().Get<AxesPerDim>("axes_per_dim");
     if (AllEmpty(gather_axes)) {
-      map_[op.result()] = Mapped(op.operand(0));
-      ++rewrites_;
-      return true;
+      return op.operand(0);
     }
     const Operation* def = op.operand(0)->def();
     // Pattern: all_gather(all_slice(y)) with identical axes/dims -> y.
@@ -430,38 +514,32 @@ class Peephole {
       auto slice = AxisDims(def->attrs().Get<AxesPerDim>("axes_per_dim"));
       auto gather = AxisDims(gather_axes);
       if (slice == gather) {
-        map_[op.result()] = Mapped(def->operand(0));
-        ++rewrites_;
-        return true;
+        return def->operand(0);
       }
     }
-    return false;
+    return nullptr;
   }
 
-  SpmdModule& spmd_;
+  Block& body_;
   unsigned enabled_;
   OpBuilder builder_{nullptr};
-  std::map<const Value*, Value*> map_;
-  std::map<const Value*, int64_t> uses_;
-  std::map<std::string, Value*> slice_cse_;
+  // Users of each value, one entry per operand slot.
+  std::unordered_map<const Value*, std::vector<Operation*>> users_;
+  std::unordered_set<const Operation*> visited_;
+  std::unordered_set<const Operation*> dead_;
+  std::vector<Operation*> worklist_;
+  // Slices seen per operand: (first such slice, the value standing for it).
+  using SliceSeen = std::pair<const Operation*, Value*>;
+  std::unordered_map<const Value*, std::vector<SliceSeen>> slices_;
+  int cursor_ = 0;     // the in-order sweep's position
+  int visit_pos_ = 0;  // position of the op being matched
   int64_t rewrites_ = 0;
 };
 
 }  // namespace
 
-int64_t RunSpmdPeephole(SpmdModule& spmd, unsigned rewrites) {
-  return Peephole(spmd, rewrites).RunOnce();
-}
-
 int64_t OptimizeSpmd(SpmdModule& spmd, unsigned rewrites) {
-  int64_t total = 0;
-  for (int iteration = 0; iteration < 8; ++iteration) {
-    int64_t applied = RunSpmdPeephole(spmd, rewrites);
-    EliminateDeadCode(*spmd.mutable_main());
-    total += applied;
-    if (applied == 0) break;
-  }
-  return total;
+  return Worklist(spmd, rewrites).Run();
 }
 
 std::string CollectiveStats::ToString() const {

@@ -1,7 +1,7 @@
 /**
  * @file
- * SPMD-level collective optimizations (Section 6), as two maskable rewrite
- * families applied together in one peephole sweep:
+ * SPMD-level collective optimizations (Section 6), as maskable rewrite
+ * families applied together by one in-place worklist pass:
  *
  * Gather/slice fusion (kRewriteGatherSlice):
  *   - all_gather + all_slice of the same axes           -> cancel / all_to_all
@@ -45,19 +45,19 @@ inline constexpr unsigned kRewriteAllSpmd =
     kRewriteGatherSlice | kRewriteReduceScatter | kRewriteReduceScatterPartial;
 
 /**
- * One peephole sweep: rebuilds the module applying the masked rewrite
- * families and returns the number of rewrites applied (no DCE — run
- * EliminateDeadCode separately). Drops the module's collective plan.
- */
-int64_t RunSpmdPeephole(SpmdModule& spmd, unsigned rewrites);
-
-/**
- * Optimizes the SPMD module in place: one peephole sweep over the masked
- * rewrite families plus DCE per iteration, until a sweep applies nothing
- * (at most 8 iterations). The one collective-optimization loop: the
- * pipeline's optimize-spmd pass, the MCTS evaluations, the per-tactic
- * reports and the GSPMD baseline all run it, so the simulator scores the
- * program that ships. Returns the number of rewrites applied.
+ * Optimizes the SPMD module in place with the masked rewrite families, as
+ * one use-driven worklist over its main function: ops are visited in order,
+ * each pattern matches an operand's current producer, replacement ops are
+ * inserted just before the matched op, ops left without uses are erased as
+ * the pass goes (incremental DCE), and an already-visited op is revisited
+ * when an operand is replaced or drops to a single use. One call reaches
+ * the fixpoint (a second call returns 0); it never copies the module, and
+ * it drops the module's collective plan. A mask of 0 runs the DCE alone.
+ *
+ * The one collective-optimization loop: the pipeline's optimize-spmd pass,
+ * the MCTS evaluations, the per-tactic reports and the GSPMD baseline all
+ * run it, so the simulator scores the program that ships. Returns the
+ * number of rewrites applied.
  */
 int64_t OptimizeSpmd(SpmdModule& spmd, unsigned rewrites = kRewriteAllSpmd);
 

@@ -373,7 +373,7 @@ TEST(PlanInvalidationTest, MutableAccessDropsTheStalePlan) {
   (void)spmd.mutable_main();
   EXPECT_EQ(spmd.plan, nullptr);
   spmd.plan = BuildCollectivePlan(spmd.mesh, *spmd.module);
-  RunSpmdPeephole(spmd, kRewriteAllSpmd);  // module rebuild resets the plan
+  OptimizeSpmd(spmd);  // the in-place rewrite drops the plan too
   EXPECT_EQ(spmd.plan, nullptr);
   // Run replans ad hoc and still works.
   std::vector<Tensor> inputs = program.RandomInputs(3);

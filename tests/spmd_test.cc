@@ -3,13 +3,24 @@
 // multi-device interpreter (the executable Appendix C theorem).
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <functional>
+#include <random>
+
 #include "src/core/context.h"
 #include "src/interp/interpreter.h"
 #include "src/ir/builder.h"
+#include "src/ir/passes.h"
 #include "src/ir/printer.h"
+#include "src/ir/verifier.h"
+#include "src/models/gns.h"
+#include "src/models/schedules.h"
+#include "src/models/transformer.h"
+#include "src/models/unet.h"
+#include "src/schedule/schedule.h"
+#include "src/sim/cost_model.h"
 #include "src/spmd/lowering.h"
 #include "src/spmd/optimize.h"
-#include "src/ir/passes.h"
 #include "src/spmd/spmd_interpreter.h"
 
 namespace partir {
@@ -329,10 +340,9 @@ TEST(SpmdOptimizeTest, ReduceScatterFormsAcrossPartialAxisOverlap) {
   Value* sliced = builder.AllSlice(reduced, {{"a"}, {"b"}});
   builder.Return({sliced});
 
-  EXPECT_GT(RunSpmdPeephole(
-                spmd, kRewriteReduceScatter | kRewriteReduceScatterPartial),
-            0);
-  EliminateDeadCode(*spmd.mutable_main());
+  EXPECT_GT(
+      OptimizeSpmd(spmd, kRewriteReduceScatter | kRewriteReduceScatterPartial),
+      0);
   CollectiveStats stats = CountCollectives(*spmd.module, spmd.mesh);
   EXPECT_EQ(stats.all_reduce, 0);
   EXPECT_EQ(stats.reduce_scatter, 1);
@@ -370,7 +380,7 @@ TEST(SpmdOptimizeTest, PartialOverlapIsGatedBehindItsRewriteBit) {
   Value* sliced = builder.AllSlice(reduced, {{"a"}, {"b"}});
   builder.Return({sliced});
 
-  EXPECT_EQ(RunSpmdPeephole(spmd, kRewriteReduceScatter), 0);
+  EXPECT_EQ(OptimizeSpmd(spmd, kRewriteReduceScatter), 0);
   CollectiveStats stats = CountCollectives(*spmd.module, spmd.mesh);
   EXPECT_EQ(stats.all_reduce, 1);
   EXPECT_EQ(stats.reduce_scatter, 0);
@@ -410,11 +420,301 @@ TEST(SpmdOptimizeTest, SubsetFormationUnchangedByPartialBit) {
     Value* reduced = builder.AllReduce(x, {"a", "b"}, "sum");
     Value* sliced = builder.AllSlice(reduced, {{"a"}, {}});
     builder.Return({sliced});
-    EXPECT_GT(RunSpmdPeephole(spmd, mask), 0);
-    EliminateDeadCode(*spmd.mutable_main());
+    EXPECT_GT(OptimizeSpmd(spmd, mask), 0);
     CollectiveStats stats = CountCollectives(*spmd.module, spmd.mesh);
     EXPECT_EQ(stats.reduce_scatter, 1) << "mask " << mask;
     EXPECT_EQ(stats.all_reduce, 1) << "mask " << mask;  // leftover {b}
+  }
+}
+
+// ---- Cascades: rewrites enabled by other rewrites, in one call ----
+
+TEST(SpmdOptimizeTest, AccumulationChainFoldsToOneAllReduce) {
+  // add(add(add(AR(p), AR(q)), AR(r)), AR(s)): each add sees the all_reduce
+  // its inner add was just rewritten into, so the whole gradient
+  // accumulation needs one all_reduce after one call.
+  Mesh mesh({{"a", 4}});
+  OpBuilder builder(nullptr);
+  SpmdModule spmd = EmptySpmd(mesh, builder);
+  Value* acc = nullptr;
+  for (int i = 0; i < 4; ++i) {
+    Value* partial = spmd.main()->body().AddArg(TensorType({8, 8}), "p");
+    Value* reduced = builder.AllReduce(partial, {"a"}, "sum");
+    acc = acc == nullptr ? reduced : builder.Add(acc, reduced);
+  }
+  builder.Return({acc});
+  ASSERT_EQ(CountCollectives(*spmd.module, mesh).all_reduce, 4);
+
+  EXPECT_EQ(OptimizeSpmd(spmd), 3);
+  EXPECT_EQ(CountCollectives(*spmd.module, mesh).all_reduce, 1);
+  EXPECT_EQ(spmd.main()->results()[0]->def()->kind(), OpKind::kAllReduce);
+  EXPECT_EQ(OptimizeSpmd(spmd), 0);
+  EXPECT_TRUE(Verify(*spmd.module).empty());
+}
+
+TEST(SpmdOptimizeTest, GatherCancelsItsSliceBeforeReduceScatterFormation) {
+  // all_gather(all_slice(all_reduce(x))) over the same axes is the
+  // all_reduce itself: the cancellation wins over turning the slice into a
+  // reduce_scatter, which the gather could no longer cancel against.
+  Mesh mesh({{"a", 2}});
+  OpBuilder builder(nullptr);
+  SpmdModule spmd = EmptySpmd(mesh, builder);
+  Value* x = spmd.main()->body().AddArg(TensorType({8, 4}), "x");
+  Value* reduced = builder.AllReduce(x, {"a"}, "sum");
+  Value* sliced = builder.AllSlice(reduced, {{"a"}, {}});
+  builder.Return({builder.AllGather(sliced, {{"a"}, {}})});
+
+  EXPECT_EQ(OptimizeSpmd(spmd), 1);
+  CollectiveStats stats = CountCollectives(*spmd.module, mesh);
+  EXPECT_EQ(stats.all_reduce, 1);
+  EXPECT_EQ(stats.reduce_scatter, 0);
+  EXPECT_EQ(stats.all_gather, 0);
+  EXPECT_EQ(stats.all_slice, 0);
+  EXPECT_EQ(OptimizeSpmd(spmd), 0);
+}
+
+// all_reduce(x) feeding a transpose and `slices` identical all_slices over
+// the reduced axis: the transpose can only commute into the all_reduce once
+// the slices stop using it.
+SpmdModule TransposeBesideSlices(const Mesh& mesh, int slices) {
+  OpBuilder builder(nullptr);
+  SpmdModule spmd = EmptySpmd(mesh, builder);
+  Value* x = spmd.main()->body().AddArg(TensorType({8, 4}), "x");
+  Value* reduced = builder.AllReduce(x, {"a"}, "sum");
+  std::vector<Value*> results = {builder.Transpose(reduced, {1, 0})};
+  for (int i = 0; i < slices; ++i) {
+    results.push_back(builder.AllSlice(reduced, {{"a"}, {}}));
+  }
+  builder.Return(results);
+  return spmd;
+}
+
+void ExpectTransposeCommuted(const SpmdModule& spmd) {
+  CollectiveStats stats = CountCollectives(*spmd.module, spmd.mesh);
+  EXPECT_EQ(stats.all_reduce, 1);
+  EXPECT_EQ(stats.reduce_scatter, 1);
+  EXPECT_EQ(stats.all_slice, 0);
+  const Operation* reduce = spmd.main()->results()[0]->def();
+  ASSERT_EQ(reduce->kind(), OpKind::kAllReduce);
+  EXPECT_EQ(reduce->operand(0)->def()->kind(), OpKind::kTranspose);
+  EXPECT_TRUE(Verify(*spmd.module).empty());
+}
+
+TEST(SpmdOptimizeTest, TransposeCommutesOnceItsAllReduceLosesTheSliceUser) {
+  // The transpose is visited while the all_reduce still has two uses; the
+  // slice's reduce_scatter rewrite drops the all_reduce to one use, which
+  // sends the transpose back through the worklist.
+  Mesh mesh({{"a", 2}});
+  SpmdModule spmd = TransposeBesideSlices(mesh, 1);
+  EXPECT_EQ(OptimizeSpmd(spmd), 2);
+  ExpectTransposeCommuted(spmd);
+  EXPECT_EQ(OptimizeSpmd(spmd), 0);
+}
+
+TEST(SpmdOptimizeTest, TransposeCommutesOnceSliceCseDropsTheLastExtraUse) {
+  // Two identical slices: the first becomes a reduce_scatter, the second is
+  // CSE'd onto it, and only then is the all_reduce single-use.
+  Mesh mesh({{"a", 2}});
+  SpmdModule spmd = TransposeBesideSlices(mesh, 2);
+  EXPECT_EQ(OptimizeSpmd(spmd), 3);
+  ExpectTransposeCommuted(spmd);
+  EXPECT_EQ(spmd.main()->results()[1], spmd.main()->results()[2]);
+  EXPECT_EQ(OptimizeSpmd(spmd), 0);
+}
+
+// Random chains of collectives, transposes, adds and sliced constants over
+// two mesh axes: whatever order the rewrites enable each other in, one
+// OptimizeSpmd call must leave a verified module at its fixpoint.
+SpmdModule RandomCollectiveChain(uint32_t seed) {
+  std::mt19937 rng(seed);
+  auto pick = [&rng](size_t n) { return static_cast<size_t>(rng() % n); };
+  const std::vector<std::string> axes = {"a", "b"};
+  auto axis_subset = [&](bool allow_empty) {
+    std::vector<std::string> subset;
+    size_t bits = allow_empty ? pick(4) : 1 + pick(3);
+    for (size_t i = 0; i < axes.size(); ++i) {
+      if ((bits >> i) & 1) subset.push_back(axes[i]);
+    }
+    if (pick(2) == 0) std::reverse(subset.begin(), subset.end());
+    return subset;
+  };
+  OpBuilder builder(nullptr);
+  SpmdModule spmd = EmptySpmd(Mesh({{"a", 2}, {"b", 2}}), builder);
+  std::vector<Value*> values;
+  for (int i = 0; i < 2; ++i) {
+    values.push_back(spmd.main()->body().AddArg(TensorType({8, 8}), "x"));
+  }
+  auto recent = [&](size_t k) {  // one of the last k values
+    return values[values.size() - 1 - pick(std::min(values.size(), k))];
+  };
+  int num_ops = 3 + static_cast<int>(pick(12));
+  for (int i = 0; i < num_ops; ++i) {
+    // Mostly extend one of the latest values, so chains get deep.
+    Value* v = pick(2) == 0 ? values[pick(values.size())] : recent(3);
+    std::vector<int64_t> dims = v->tensor_type().dims();
+    size_t dim = pick(2);
+    AxesPerDim one_axis(2);
+    one_axis[dim].push_back(axes[pick(2)]);
+    switch (pick(6)) {
+      case 0: {
+        std::vector<std::string> reduced = axis_subset(pick(4) == 0);
+        Value* sum = builder.AllReduce(v, reduced);
+        values.push_back(sum);
+        // Often a transpose that commutes only into a single-use
+        // all_reduce, then a slice over a reduced axis whose
+        // reduce_scatter formation takes that second use away.
+        if (!reduced.empty() && dims[dim] % 2 == 0 && pick(2) == 0) {
+          if (pick(2) == 0) values.push_back(builder.Transpose(sum, {1, 0}));
+          AxesPerDim sliced(2);
+          sliced[dim].push_back(reduced[pick(reduced.size())]);
+          values.push_back(builder.AllSlice(sum, sliced));
+        }
+        break;
+      }
+      case 1:
+        if (dims[dim] % 2 == 0) values.push_back(builder.AllSlice(v, one_axis));
+        break;
+      case 2:
+        values.push_back(builder.AllGather(v, one_axis));
+        break;
+      case 3:
+        values.push_back(builder.Transpose(
+            v, pick(2) == 0 ? std::vector<int64_t>{1, 0}
+                            : std::vector<int64_t>{0, 1}));
+        break;
+      case 4: {
+        std::vector<Value*> same_shape;
+        for (Value* w : values) {
+          if (w->tensor_type().dims() == dims) same_shape.push_back(w);
+        }
+        values.push_back(builder.Add(v, same_shape[pick(same_shape.size())]));
+        break;
+      }
+      case 5:
+        if (dims[dim] % 2 == 0) {
+          values.push_back(
+              builder.AllSlice(builder.Constant(1.0, dims), one_axis));
+        }
+        break;
+    }
+  }
+  std::vector<Value*> results;
+  size_t num_results = 1 + pick(3);
+  for (size_t i = 0; i < num_results; ++i) results.push_back(recent(4));
+  builder.Return(results);
+  return spmd;
+}
+
+TEST(SpmdOptimizeTest, RandomCollectiveChainsReachAFixpointInOneCall) {
+  for (uint32_t seed = 0; seed < 2000; ++seed) {
+    for (unsigned mask : {kRewriteAllSpmd, kRewriteGatherSlice,
+                          kRewriteReduceScatter}) {
+      SpmdModule spmd = RandomCollectiveChain(seed);
+      OptimizeSpmd(spmd, mask);
+      EXPECT_TRUE(Verify(*spmd.module).empty())
+          << "seed " << seed << " mask " << mask;
+      EXPECT_EQ(OptimizeSpmd(spmd, mask), 0)
+          << "seed " << seed << " mask " << mask << "\n"
+          << Print(*spmd.module);
+    }
+  }
+}
+
+// ---- Fixpoint and golden values on the Fig. 8 programs ----
+
+// What OptimizeSpmd leaves behind after one tactic prefix: collective
+// counts and bytes, op count and the simulator's estimate.
+struct OptimizedShape {
+  int64_t all_gather, all_reduce, reduce_scatter, all_to_all, all_slice;
+  int64_t ops;
+  double comm_bytes, step_seconds, peak_memory_bytes;
+};
+
+struct Fig8Program {
+  const char* name;
+  std::function<Func*(Module&)> build;
+  std::vector<ManualPartition> schedule;
+  // One entry per tactic prefix. A drift means the optimizer now reaches a
+  // different fixpoint: fix the visit order or rewrite priority, not these.
+  std::vector<OptimizedShape> golden;
+};
+
+std::vector<ManualPartition> Manual(const std::vector<Tactic>& tactics) {
+  std::vector<ManualPartition> manual;
+  for (const Tactic& tactic : tactics) {
+    manual.push_back(std::get<ManualPartition>(tactic));
+  }
+  return manual;
+}
+
+std::vector<Fig8Program> Fig8Programs() {
+  using namespace schedules;
+  TransformerConfig infer = TransformerConfig::T32Scaled();
+  infer.seq = 16;
+  return {
+      {"T32",
+       [](Module& m) {
+         return BuildTransformerTrainingStep(m,
+                                             TransformerConfig::T32Scaled());
+       },
+       Manual(TransformerBPMPZ3EMB()),
+       {{0, 290, 0, 0, 0, 9833, 147832839, 0.0084729330184648097, 507350788},
+        {0, 418, 0, 0, 0, 9961, 99598343, 0.0050952742305472969, 287149828},
+        {259, 289, 129, 0, 0, 10220, 115195911, 0.0047241258927699873,
+         241733380},
+        {707, 292, 257, 0, 0, 10799, 146171399, 0.0052876300662902439,
+         209784580}}},
+      {"UNet",
+       [](Module& m) { return BuildUNetTrainingStep(m, UNetConfig::Bench()); },
+       {UNetBP(), UNetMP(), UNetZ3()},
+       {{0, 172, 0, 0, 0, 5515, 26628959, 0.0013555786233585901, 65125252},
+        {0, 266, 0, 0, 0, 5609, 16365823, 0.0010317599357015195, 37467012},
+        {245, 95, 171, 0, 0, 5854, 23402111, 0.001046685429034854, 16263284}}},
+      {"GNS",
+       [](Module& m) { return BuildGnsTrainingStep(m, GnsConfig::Bench()); },
+       {GnsES()},
+       {{0, 322, 0, 0, 0, 12843, 7055552, 0.00088812988000002671, 21731348}}},
+      {"IT32",
+       [infer](Module& m) { return BuildTransformerInference(m, infer, 8); },
+       {InferenceBP(), TransformerMP()},
+       {{0, 0, 0, 0, 0, 13677, 0, 0.0016532832711110134, 93944000},
+        {0, 576, 0, 0, 0, 14253, 9437184, 0.0017609602844445187, 47405248}}},
+  };
+}
+
+TEST(SpmdOptimizeTest, Fig8ProgramsReachTheGoldenFixpointInOneCall) {
+  Mesh mesh({{"batch", 8}, {"model", 2}});
+  for (const Fig8Program& program : Fig8Programs()) {
+    Module module;
+    PartitionContext ctx(program.build(module), mesh);
+    ctx.set_boundary_realization(true);
+    for (size_t prefix = 0; prefix < program.schedule.size(); ++prefix) {
+      SCOPED_TRACE(StrCat(program.name, " prefix ", prefix + 1));
+      ASSERT_TRUE(
+          ApplyManualTacticOrError(ctx, program.schedule[prefix]).ok());
+      ctx.Propagate();
+      SpmdModule spmd = LowerToSpmd(ctx);
+      OptimizeSpmd(spmd);
+      EXPECT_EQ(OptimizeSpmd(spmd), 0) << "not at a fixpoint";
+      CollectiveStats stats = CountCollectives(*spmd.module, spmd.mesh);
+      SimEstimate estimate = EstimateSpmd(spmd, Tpu_v3());
+      OptimizedShape got{stats.all_gather,     stats.all_reduce,
+                         stats.reduce_scatter, stats.all_to_all,
+                         stats.all_slice,      CountOps(*spmd.main()),
+                         stats.comm_bytes,     estimate.step_seconds,
+                         estimate.peak_memory_bytes};
+      ASSERT_LT(prefix, program.golden.size());
+      const OptimizedShape& want = program.golden[prefix];
+      EXPECT_EQ(got.all_gather, want.all_gather);
+      EXPECT_EQ(got.all_reduce, want.all_reduce);
+      EXPECT_EQ(got.reduce_scatter, want.reduce_scatter);
+      EXPECT_EQ(got.all_to_all, want.all_to_all);
+      EXPECT_EQ(got.all_slice, want.all_slice);
+      EXPECT_EQ(got.ops, want.ops);
+      EXPECT_DOUBLE_EQ(got.comm_bytes, want.comm_bytes);
+      EXPECT_DOUBLE_EQ(got.step_seconds, want.step_seconds);
+      EXPECT_DOUBLE_EQ(got.peak_memory_bytes, want.peak_memory_bytes);
+    }
   }
 }
 
