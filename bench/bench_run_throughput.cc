@@ -1,9 +1,9 @@
 // Throughput of the SPMD runtimes and the partition cache.
 //
 // Part 1: Executable::Run wall-clock vs thread count on an 8-device mesh
-// (1 = the sequential reference walker; 8 = one thread per device). The
-// workload is a compute-heavy batch-parallel matmul chain, so the async
-// runtime's speedup tracks available host cores (reported as
+// (1 = sequential mode; 8 = one thread per device) on the optimized
+// program. The workload is a compute-heavy batch-parallel matmul chain, so
+// the threaded speedup tracks available host cores (reported as
 // host_threads).
 //
 // Part 2: Program::Partition latency cold (cache miss, full pipeline) vs

@@ -10,7 +10,7 @@
 // A second summary compares serving tail latency with the executable's
 // persistent worker pool (RunOptions::use_pool, the default) against the
 // pre-pool behavior of spawning one thread per device per batch, on the
-// compiled backend. With --enforce-pool-floor, exits non-zero unless the
+// optimized program. With --enforce-pool-floor, exits non-zero unless the
 // pooled p99 beats the spawning p99 by kPoolP99Floor x.
 #include <algorithm>
 #include <chrono>
@@ -41,7 +41,7 @@ double Percentile(std::vector<double> sorted_ms, double q) {
 }
 
 // CI floor for the pool comparison: pooled p99 must beat per-batch thread
-// spawning by this factor on the quickstart workload (compiled backend).
+// spawning by this factor on the quickstart workload (optimized program).
 constexpr double kPoolP99Floor = 1.3;
 
 struct Config {
@@ -178,12 +178,11 @@ int main(int argc, char** argv) {
               "(target: >= 2x)\n", speedup);
 
   // ---- Persistent worker pool vs per-batch thread spawning ----
-  // Same serving regime, compiled backend; the only difference between the
+  // Same serving regime, optimized program; the only difference between the
   // arms is RunOptions::use_pool. Best-of-3 per arm, arms interleaved, so a
   // background hiccup cannot land entirely on one side.
   Config pooled_config{/*max_batch=*/4, /*producers=*/4,
                        /*requests_per_producer=*/40, RunOptions{}};
-  pooled_config.run.backend = ExecBackend::kCompiled;
   Config spawn_config = pooled_config;
   spawn_config.run.use_pool = false;
   Result pooled, spawn;

@@ -91,10 +91,11 @@ class Executable {
    * shardings, and the global outputs are reassembled. Input count, rank
    * and dims are validated up front with typed errors.
    *
-   * By default every simulated device runs on its own thread with
-   * rendezvous collectives (RunOptions); options.num_threads == 1 selects
-   * the sequential reference walker, whose outputs are bit-identical to
-   * the threaded runtime's under the (default) deterministic mode.
+   * By default every simulated device runs the optimized device program on
+   * its own thread with rendezvous collectives (RunOptions);
+   * options.num_threads == 1 runs the devices in turn on the calling
+   * thread, bit-identically under the (default) deterministic mode, and
+   * options.backend = kInterpret runs the reference program instead.
    *
    * Threaded Runs reuse this executable's persistent worker pool (one
    * resident thread per device, created on first use) instead of spawning

@@ -14,7 +14,7 @@ namespace {
 std::atomic<int64_t> compiled_program_count{0};
 
 /** Rank-2 dot with no batch dims: lhs[i,k] . rhs[k,j]. */
-bool IsFastDot(const Operation& op) {
+bool IsDot2d(const Operation& op) {
   if (op.kind() != OpKind::kDot) return false;
   if (op.operand(0)->tensor_type().rank() != 2 ||
       op.operand(1)->tensor_type().rank() != 2) {
@@ -34,11 +34,24 @@ bool IsElementwiseOp(const Operation& op) {
          op.num_results() == 1 && op.num_regions() == 0;
 }
 
+/** The optimized program's kernel for a non-loop, non-fused op. */
+Kernel SelectKernel(const Operation& op) {
+  if (op.kind() == OpKind::kPSlice) return Kernel::kPSlice;
+  if (op.num_operands() == 0 && op.num_regions() == 0) return Kernel::kBaked;
+  if (IsUnaryElementwise(op.kind())) return Kernel::kUnary;
+  if (IsBinaryElementwise(op.kind())) return Kernel::kBinary;
+  if (IsDot2d(op)) return Kernel::kDot2d;
+  if (op.kind() == OpKind::kReshape || op.kind() == OpKind::kTag) {
+    return Kernel::kCopy;
+  }
+  return Kernel::kGeneric;
+}
+
 /** Typed validation of one loop region op, recursively. */
 Status ValidateLoopOp(const Func& func, const Operation& op) {
   if (op.kind() != OpKind::kLoop) {
     return InvalidArgumentError(
-        "compiled backend cannot execute region op '", OpKindName(op.kind()),
+        "device program cannot execute region op '", OpKindName(op.kind()),
         "' in '", func.name(), "'");
   }
   if (op.num_regions() != 1 || op.num_results() != 1) {
@@ -63,7 +76,7 @@ Status ValidateLoopOp(const Func& func, const Operation& op) {
   for (const auto& inner : body.ops()) {
     if (IsCollective(inner->kind())) {
       return InvalidArgumentError(
-          "compiled backend cannot execute collective '",
+          "device program cannot execute collective '",
           OpKindName(inner->kind()), "' inside a loop region in '",
           func.name(), "'");
     }
@@ -76,10 +89,11 @@ Status ValidateLoopOp(const Func& func, const Operation& op) {
 
 /**
  * The liveness-independent part of one instruction record: slots, shape,
- * in-place adoption from the plan, baked constants and kernel tags. Used
- * for top-level and loop-body instructions alike.
+ * in-place adoption from the plan, and (when optimizing) the kernel and
+ * baked constants. Used for top-level and loop-body instructions alike.
  */
-Instruction BuildInstruction(const Operation& op, const MemoryPlan& plan) {
+Instruction BuildInstruction(const Operation& op, const MemoryPlan& plan,
+                             bool optimize) {
   Instruction inst;
   inst.kind = op.kind();
   inst.op = &op;
@@ -101,13 +115,17 @@ Instruction BuildInstruction(const Operation& op, const MemoryPlan& plan) {
     }
   }
 
-  if (op.num_operands() == 0 && op.num_regions() == 0) {
+  if (op.num_regions() > 0) {
+    inst.kernel = Kernel::kLoop;
+  } else if (optimize) {
+    inst.kernel = SelectKernel(op);
+  }
+  if (inst.kernel == Kernel::kBaked) {
     // Constants / iota: materialize the value once at compile time.
     std::vector<Tensor> baked = EvalOp(op, {});
     inst.baked = std::make_shared<const Tensor>(std::move(baked[0]));
   }
-  inst.fast_dot = IsFastDot(op);
-  if (op.kind() == OpKind::kPSlice) {
+  if (inst.kernel == Kernel::kPSlice) {
     inst.pslice_dim = op.attrs().Get<int64_t>("dim");
     inst.pslice_count = op.operand(1)->type().range().size();
   }
@@ -192,6 +210,7 @@ Instruction BuildChainInstruction(const Block& block, const MemoryPlan& plan,
   inst.result_slots.push_back(rvp.slot);
   inst.result_dims = last.result()->tensor_type().dims();
   inst.result_numel = rvp.numel;
+  inst.kernel = Kernel::kFusedChain;
   inst.chain = std::move(chain);
   return inst;
 }
@@ -199,6 +218,7 @@ Instruction BuildChainInstruction(const Block& block, const MemoryPlan& plan,
 /** Compiles one loop op into its trip-counted sub-program. */
 std::shared_ptr<const LoopInfo> CompileLoopInfo(const Operation& loop_op,
                                                 const MemoryPlan& plan,
+                                                bool optimize,
                                                 DeviceProgram& program) {
   auto info = std::make_shared<LoopInfo>();
   const std::string& action = loop_op.attrs().Get<std::string>("action");
@@ -223,7 +243,7 @@ std::shared_ptr<const LoopInfo> CompileLoopInfo(const Operation& loop_op,
   const int num_body = body.num_ops() - 1;
   int i = 0;
   while (i < num_body) {
-    int len = ChainLength(body, plan, i, num_body);
+    int len = optimize ? ChainLength(body, plan, i, num_body) : 1;
     if (len >= 2) {
       info->body.push_back(BuildChainInstruction(body, plan, i, len));
       program.fused_chains += 1;
@@ -231,9 +251,9 @@ std::shared_ptr<const LoopInfo> CompileLoopInfo(const Operation& loop_op,
       i += len;
       continue;
     }
-    Instruction inst = BuildInstruction(*body.ops()[i], plan);
-    if (body.ops()[i]->num_regions() > 0) {
-      inst.loop = CompileLoopInfo(*body.ops()[i], plan, program);
+    Instruction inst = BuildInstruction(*body.ops()[i], plan, optimize);
+    if (inst.kernel == Kernel::kLoop) {
+      inst.loop = CompileLoopInfo(*body.ops()[i], plan, optimize, program);
     }
     info->body.push_back(std::move(inst));
     ++i;
@@ -244,8 +264,9 @@ std::shared_ptr<const LoopInfo> CompileLoopInfo(const Operation& loop_op,
 }  // namespace
 
 StatusOr<std::shared_ptr<const DeviceProgram>> CompileDeviceProgram(
-    const SpmdModule& spmd) {
-  compiled_program_count.fetch_add(1, std::memory_order_relaxed);
+    const SpmdModule& spmd, ExecBackend backend) {
+  const bool optimize = backend == ExecBackend::kCompiled;
+  if (optimize) compiled_program_count.fetch_add(1, std::memory_order_relaxed);
   const Func& func = *spmd.main();
   const Block& body = func.body();
   if (body.num_ops() == 0 || body.terminator()->kind() != OpKind::kReturn) {
@@ -264,7 +285,7 @@ StatusOr<std::shared_ptr<const DeviceProgram>> CompileDeviceProgram(
   }
 
   auto program = std::make_shared<DeviceProgram>();
-  program->plan = PlanMemory(func);
+  program->plan = PlanMemory(func, /*reuse=*/optimize);
   program->collectives =
       spmd.plan != nullptr ? spmd.plan
                            : BuildCollectivePlan(spmd.mesh, *spmd.module);
@@ -285,7 +306,8 @@ StatusOr<std::shared_ptr<const DeviceProgram>> CompileDeviceProgram(
 
     // Kernel tier: a run of consecutive elementwise instructions whose
     // intermediates die immediately becomes one fused-chain instruction.
-    int len = ChainLength(body, plan, i, plan.num_instructions);
+    int len =
+        optimize ? ChainLength(body, plan, i, plan.num_instructions) : 1;
     if (len >= 2) {
       program->instructions.push_back(
           BuildChainInstruction(body, plan, i, len));
@@ -295,26 +317,23 @@ StatusOr<std::shared_ptr<const DeviceProgram>> CompileDeviceProgram(
       continue;
     }
 
-    Instruction inst = BuildInstruction(op, plan);
-    const ValuePlan& result0 = plan.values[plan.IndexOf(op.result(0))];
-    (void)result0;
-    for (int j = 0; j < op.num_operands(); ++j) {
+    Instruction inst = BuildInstruction(op, plan, optimize);
+    // Only the optimized program moves dying operands out of the arena.
+    // The in-place operand's buffer is not reclaimable — it becomes the
+    // result.
+    for (int j = 0; optimize && j < op.num_operands(); ++j) {
       const Value* operand = op.operand(j);
       const ValuePlan& ovp = plan.values[plan.IndexOf(operand)];
       bool first_occurrence = true;
       for (int k = 0; k < j; ++k) {
         if (op.operand(k) == operand) first_occurrence = false;
       }
-      inst.operand_dies[j] = ovp.last_use == i && first_occurrence;
-    }
-    // The in-place operand's buffer is not reclaimable — it becomes the
-    // result.
-    if (inst.in_place_operand >= 0) {
-      inst.operand_dies[inst.in_place_operand] = false;
+      inst.operand_dies[j] = ovp.last_use == i && first_occurrence &&
+                             j != inst.in_place_operand;
     }
 
-    if (op.num_regions() > 0) {
-      inst.loop = CompileLoopInfo(op, plan, *program);
+    if (inst.kernel == Kernel::kLoop) {
+      inst.loop = CompileLoopInfo(op, plan, optimize, *program);
     }
 
     if (IsCollective(op.kind())) {

@@ -1,25 +1,30 @@
 /**
  * @file
  * One-shot lowering from a device-local SPMD program to a flat instruction
- * stream: the compiled counterpart of the op-walking SPMD interpreter.
+ * stream: the one program form the SPMD runtime executes.
  *
- * A DeviceProgram is compiled once per partitioned module (by the
- * compile-device-programs pipeline pass, or ad hoc on first compiled Run)
- * and then drives every execution:
+ * A DeviceProgram is compiled in one of two flavours, chosen by the
+ * ExecBackend passed to CompileDeviceProgram:
  *
- *  - each instruction is a dense record with pre-resolved operand/result
- *    arena slots from the liveness MemoryPlan (memory_planner.h), so the
- *    executor never touches a Value* map on the hot path;
- *  - collective instructions carry their precomputed CollectiveOp (replica
- *    groups, slice schedules) plus a dense rendezvous-site base index;
- *  - zero-operand ops (constants, iota) are materialized at compile time
- *    into a shared tensor the executor copies from;
- *  - elementwise and rank-2 dot instructions are tagged for fused kernels
- *    that reproduce the reference interpreter's arithmetic exactly
- *    (bit-identical outputs, enforced by differential tests).
+ *  - the *optimized program* (kCompiled), compiled once per partitioned
+ *    module by the compile-device-programs pipeline pass (or ad hoc on the
+ *    first Run of a module that carries none): arena slots come from the
+ *    liveness MemoryPlan (memory_planner.h) with reuse and in-place
+ *    adoption, dying operands move out of the arena, zero-operand ops
+ *    (constants, iota) are materialized at compile time, and elementwise
+ *    and rank-2 dot instructions get kernels that reproduce the reference
+ *    arithmetic exactly (fused chains, blocked dot);
  *
- * The same program runs on every device of the mesh; only arena contents
- * and the device's position within each replica group differ.
+ *  - the *reference program* (kInterpret), compiled fresh for every
+ *    reference Run: one instruction per op, one fresh slot per SSA value,
+ *    and every local op evaluated by the interpreter's EvalOpRef.
+ *
+ * In both, each instruction is a dense record with pre-resolved operand /
+ * result arena slots, so the executor never touches a Value* map, and
+ * collective instructions carry their precomputed CollectiveOp (replica
+ * groups, slice schedules) plus a dense rendezvous-site base index. The
+ * same program runs on every device of the mesh; only arena contents and
+ * the device's position within each replica group differ.
  */
 #ifndef PARTIR_EXEC_DEVICE_PROGRAM_H_
 #define PARTIR_EXEC_DEVICE_PROGRAM_H_
@@ -33,6 +38,7 @@
 #include "src/interp/tensor.h"
 #include "src/spmd/collectives.h"
 #include "src/spmd/lowering.h"
+#include "src/spmd/spmd_interpreter.h"
 #include "src/support/status.h"
 
 namespace partir {
@@ -40,10 +46,28 @@ namespace exec {
 
 struct LoopInfo;
 
+/**
+ * How the executor evaluates a local (non-collective) instruction. The
+ * reference program uses kGeneric for every op and kLoop for loops; the
+ * optimized program picks the specialized kernels.
+ */
+enum class Kernel {
+  kGeneric,     // the interpreter's EvalOpRef over arena operands
+  kLoop,        // trip-counted sub-program (Instruction::loop)
+  kFusedChain,  // fused elementwise run (Instruction::chain)
+  kPSlice,      // chunk of operand 0 picked by the range slot's value
+  kBaked,       // copy of the compile-time value (Instruction::baked)
+  kUnary,       // elementwise, in place when in_place_operand == 0
+  kBinary,      // elementwise; the output may alias either operand
+  kDot2d,       // rank-2 dot lhs[i,k] * rhs[k,j], no batch dims: blocked
+  kCopy,        // reshape / tag: element copy into the result buffer
+};
+
 /** One executable record of the flat stream. */
 struct Instruction {
   OpKind kind;
-  /** The source op: attributes for the generic fallback kernel. */
+  Kernel kernel = Kernel::kGeneric;
+  /** The source op: attributes for the generic kernel. */
   const Operation* op = nullptr;
 
   std::vector<int> operand_slots;
@@ -62,9 +86,6 @@ struct Instruction {
 
   /** Operand index whose slot the result overwrites in place, or -1. */
   int in_place_operand = -1;
-
-  /** Rank-2 dot lhs[i,k] * rhs[k,j] with no batch dims: blocked kernel. */
-  bool fast_dot = false;
 
   /**
    * Non-null when this instruction is a fused run of >= 2 consecutive
@@ -138,17 +159,21 @@ struct DeviceProgram {
 };
 
 /**
- * Compiles `spmd`'s main function into a DeviceProgram. Uses spmd.plan when
- * present (the pipeline's precomputed collective plan), else builds one.
- * PartIR:Core loop regions compile into trip-counted sub-programs
- * (LoopInfo); collectives inside a region, or stray slice/yield ops
- * outside one, are typed errors.
+ * Compiles `spmd`'s main function into a DeviceProgram: the optimized
+ * program for kCompiled, the reference program for kInterpret. Uses
+ * spmd.plan when present (the pipeline's precomputed collective plan),
+ * else builds one. PartIR:Core loop regions compile into trip-counted
+ * sub-programs (LoopInfo); collectives inside a region, or stray
+ * slice/yield ops outside one, are typed errors.
  */
 StatusOr<std::shared_ptr<const DeviceProgram>> CompileDeviceProgram(
-    const SpmdModule& spmd);
+    const SpmdModule& spmd, ExecBackend backend = ExecBackend::kCompiled);
 
-/** Process-wide count of CompileDeviceProgram calls: lets tests assert
- *  that partition-cache hits share programs instead of recompiling. */
+/**
+ * Process-wide count of optimized-program compilations: lets tests assert
+ * that partition-cache hits share programs instead of recompiling. The
+ * reference programs compiled by kInterpret Runs are not counted.
+ */
 int64_t CompiledProgramCount();
 
 /** Memory-planner statistics of a compiled program, per device. */

@@ -71,102 +71,110 @@ void RunLoop(const Instruction& inst, Arena& arena) {
   }
 }
 
-/** Executes one non-collective instruction on one device's arena. */
-void ExecLocal(const Instruction& inst, Arena& arena) {
-  if (inst.chain != nullptr) {
-    // EnsureOut first: every slot of a chain holds the same element count,
-    // so the output buffer is never reallocated out from under an aliasing
-    // input pointer taken below.
-    Tensor& out = EnsureOut(arena, inst);
-    const FusedChain& chain = *inst.chain;
-    const float* in = arena[chain.input_slot].data().data();
-    const float* external_buf[16];
-    std::vector<const float*> external_heap;
-    const float* const* externals;
-    if (chain.steps.size() <= 16) {
-      for (size_t s = 0; s < chain.steps.size(); ++s) {
-        int slot = chain.steps[s].external_slot;
-        external_buf[s] = slot >= 0 ? arena[slot].data().data() : nullptr;
-      }
-      externals = external_buf;
-    } else {
-      external_heap.resize(chain.steps.size());
-      for (size_t s = 0; s < chain.steps.size(); ++s) {
-        int slot = chain.steps[s].external_slot;
-        external_heap[s] = slot >= 0 ? arena[slot].data().data() : nullptr;
-      }
-      externals = external_heap.data();
-    }
-    RunFusedChain(chain, in, externals, out.data().data(), inst.result_numel);
-    return;
-  }
-  if (inst.loop != nullptr) {
-    RunLoop(inst, arena);
-    return;
-  }
-  if (inst.kind == OpKind::kPSlice) {
-    const Tensor& in = arena[inst.operand_slots[0]];
-    const int64_t chunk =
-        static_cast<int64_t>(arena[inst.operand_slots[1]].data()[0]);
-    SliceChunkInto(in, inst.pslice_dim, chunk, inst.pslice_count,
-                   EnsureOut(arena, inst));
-    return;
-  }
-  if (inst.baked != nullptr) {
-    Tensor& out = EnsureOut(arena, inst);
-    std::copy(inst.baked->data().begin(), inst.baked->data().end(),
-              out.data().begin());
-    return;
-  }
-  if (IsUnaryElementwise(inst.kind)) {
-    if (inst.in_place_operand == 0) {
-      float* p = arena[inst.operand_slots[0]].data().data();
-      for (int64_t k = 0; k < inst.result_numel; ++k) {
-        p[k] = ApplyUnaryOp(inst.kind, p[k]);
-      }
-    } else {
-      const float* in = arena[inst.operand_slots[0]].data().data();
-      Tensor& out = EnsureOut(arena, inst);
-      float* o = out.data().data();
-      for (int64_t k = 0; k < inst.result_numel; ++k) {
-        o[k] = ApplyUnaryOp(inst.kind, in[k]);
-      }
-    }
-    return;
-  }
-  if (IsBinaryElementwise(inst.kind)) {
-    // The kernels read both inputs at k before writing k, so the output
-    // may alias either (or both) operands.
-    const float* a = arena[inst.operand_slots[0]].data().data();
-    const float* b = arena[inst.operand_slots[1]].data().data();
-    float* o = inst.in_place_operand >= 0
-                   ? arena[inst.operand_slots[inst.in_place_operand]]
-                         .data().data()
-                   : EnsureOut(arena, inst).data().data();
-    for (int64_t k = 0; k < inst.result_numel; ++k) {
-      o[k] = ApplyBinaryOp(inst.kind, a[k], b[k]);
-    }
-    return;
-  }
-  if (inst.fast_dot) {
-    const Tensor& lhs = arena[inst.operand_slots[0]];
-    const Tensor& rhs = arena[inst.operand_slots[1]];
-    BlockedDot2dInto(lhs, rhs, EnsureOut(arena, inst));
-    return;
-  }
-  if (inst.kind == OpKind::kReshape || inst.kind == OpKind::kTag) {
-    const Tensor& in = arena[inst.operand_slots[0]];
-    Tensor& out = EnsureOut(arena, inst);
-    std::copy(in.data().begin(), in.data().end(), out.data().begin());
-    return;
-  }
-  // Generic fallback: the interpreter's own kernels over arena pointers.
+/** The interpreter's own kernels over arena pointers. */
+void ExecGeneric(const Instruction& inst, Arena& arena) {
   std::vector<const Tensor*> operands;
   operands.reserve(inst.operand_slots.size());
   for (int slot : inst.operand_slots) operands.push_back(&arena[slot]);
   std::vector<Tensor> results = EvalOpRef(*inst.op, operands);
   for (size_t r = 0; r < results.size(); ++r) {
     arena[inst.result_slots[r]] = std::move(results[r]);
+  }
+}
+
+/** A fused elementwise chain: one loop over the data. */
+void ExecFusedChain(const Instruction& inst, Arena& arena) {
+  // EnsureOut first: every slot of a chain holds the same element count,
+  // so the output buffer is never reallocated out from under an aliasing
+  // input pointer taken below.
+  Tensor& out = EnsureOut(arena, inst);
+  const FusedChain& chain = *inst.chain;
+  const float* in = arena[chain.input_slot].data().data();
+  const float* external_buf[16];
+  std::vector<const float*> external_heap;
+  const float* const* externals;
+  if (chain.steps.size() <= 16) {
+    for (size_t s = 0; s < chain.steps.size(); ++s) {
+      int slot = chain.steps[s].external_slot;
+      external_buf[s] = slot >= 0 ? arena[slot].data().data() : nullptr;
+    }
+    externals = external_buf;
+  } else {
+    external_heap.resize(chain.steps.size());
+    for (size_t s = 0; s < chain.steps.size(); ++s) {
+      int slot = chain.steps[s].external_slot;
+      external_heap[s] = slot >= 0 ? arena[slot].data().data() : nullptr;
+    }
+    externals = external_heap.data();
+  }
+  RunFusedChain(chain, in, externals, out.data().data(), inst.result_numel);
+}
+
+/** Executes one non-collective instruction on one device's arena. */
+void ExecLocal(const Instruction& inst, Arena& arena) {
+  switch (inst.kernel) {
+    case Kernel::kGeneric:
+      ExecGeneric(inst, arena);
+      return;
+    case Kernel::kLoop:
+      RunLoop(inst, arena);
+      return;
+    case Kernel::kFusedChain:
+      ExecFusedChain(inst, arena);
+      return;
+    case Kernel::kPSlice: {
+      const Tensor& in = arena[inst.operand_slots[0]];
+      const int64_t chunk =
+          static_cast<int64_t>(arena[inst.operand_slots[1]].data()[0]);
+      SliceChunkInto(in, inst.pslice_dim, chunk, inst.pslice_count,
+                     EnsureOut(arena, inst));
+      return;
+    }
+    case Kernel::kBaked: {
+      Tensor& out = EnsureOut(arena, inst);
+      std::copy(inst.baked->data().begin(), inst.baked->data().end(),
+                out.data().begin());
+      return;
+    }
+    case Kernel::kUnary:
+      if (inst.in_place_operand == 0) {
+        float* p = arena[inst.operand_slots[0]].data().data();
+        for (int64_t k = 0; k < inst.result_numel; ++k) {
+          p[k] = ApplyUnaryOp(inst.kind, p[k]);
+        }
+      } else {
+        const float* in = arena[inst.operand_slots[0]].data().data();
+        Tensor& out = EnsureOut(arena, inst);
+        float* o = out.data().data();
+        for (int64_t k = 0; k < inst.result_numel; ++k) {
+          o[k] = ApplyUnaryOp(inst.kind, in[k]);
+        }
+      }
+      return;
+    case Kernel::kBinary: {
+      // The kernels read both inputs at k before writing k, so the output
+      // may alias either (or both) operands.
+      const float* a = arena[inst.operand_slots[0]].data().data();
+      const float* b = arena[inst.operand_slots[1]].data().data();
+      float* o = inst.in_place_operand >= 0
+                     ? arena[inst.operand_slots[inst.in_place_operand]]
+                           .data().data()
+                     : EnsureOut(arena, inst).data().data();
+      for (int64_t k = 0; k < inst.result_numel; ++k) {
+        o[k] = ApplyBinaryOp(inst.kind, a[k], b[k]);
+      }
+      return;
+    }
+    case Kernel::kDot2d:
+      BlockedDot2dInto(arena[inst.operand_slots[0]],
+                       arena[inst.operand_slots[1]], EnsureOut(arena, inst));
+      return;
+    case Kernel::kCopy: {
+      const Tensor& in = arena[inst.operand_slots[0]];
+      Tensor& out = EnsureOut(arena, inst);
+      std::copy(in.data().begin(), in.data().end(), out.data().begin());
+      return;
+    }
   }
 }
 
@@ -177,7 +185,7 @@ Tensor TakeOperand(const Instruction& inst, Arena& arena) {
   return buf;
 }
 
-/** Sequential reference walk: each instruction on every device in turn,
+/** Sequential mode: each instruction on every device in turn,
  *  collectives one replica group at a time in group-position order. */
 void RunSequentialExec(const DeviceProgram& program,
                        std::vector<Arena>& arenas) {
@@ -209,8 +217,9 @@ void RunSequentialExec(const DeviceProgram& program,
 }
 
 /**
- * Async runtime: one body per device, rendezvous collectives, and a
- * semaphore throttling concurrency (same protocol as the interpreter).
+ * Threaded mode: one body per device, rendezvous collectives, and a
+ * semaphore throttling concurrency (a device waiting at a rendezvous
+ * releases its slot, so any positive cap is deadlock-free).
  * Device bodies run on the persistent worker pool when one is supplied and
  * idle; otherwise (no pool, pool too small, or another Run holding its
  * submit lease) each body gets a freshly spawned thread.
@@ -299,8 +308,10 @@ StatusOr<std::vector<Tensor>> ExecuteCompiled(
     for (int64_t d = 0; d < num_devices; ++d) {
       shards[d] = arenas[d][program.output_slots[i]];
     }
-    outputs.push_back(
+    PARTIR_ASSIGN_OR_RETURN(
+        Tensor output,
         UnshardTensor(shards, spmd.output_shardings[i], spmd.mesh));
+    outputs.push_back(std::move(output));
   }
   if (options.stats != nullptr) {
     options.stats->allocations = run_allocs.load(std::memory_order_relaxed);

@@ -1,16 +1,18 @@
 /**
  * @file
- * Executes a compiled DeviceProgram over the mesh: slot-indexed arenas
- * instead of Value->Tensor maps, planner-driven buffer reuse and in-place
- * elementwise updates, and the same two execution modes as the op-walking
- * interpreter — a sequential reference walk, and one thread per device
- * meeting at rendezvous collectives (src/spmd/rendezvous.h).
+ * The SPMD runtime: executes a compiled DeviceProgram over the mesh with
+ * slot-indexed arenas, in one of two modes — sequential (each instruction
+ * on every device in turn) or one thread per device meeting at rendezvous
+ * collectives (src/spmd/rendezvous.h), on the executable's worker pool
+ * when it has one.
  *
- * Outputs are bit-identical to RunSpmd's interpreter backend: elementwise
- * kernels share the interpreter's scalar functions, the fused rank-2 dot
- * accumulates in double over the same index order, everything else falls
- * back to the interpreter's own EvalOpRef, and collectives fold in group
- * position order.
+ * Both the reference and the optimized program (device_program.h) run
+ * here, so sharding, throttling, dispatch and unsharding exist once. Their
+ * outputs are bit-identical: the optimized elementwise kernels share the
+ * interpreter's scalar functions, the blocked rank-2 dot accumulates in
+ * double over the same index order, every other op goes through the
+ * interpreter's own EvalOpRef, and collectives fold in group position
+ * order.
  */
 #ifndef PARTIR_EXEC_EXECUTOR_H_
 #define PARTIR_EXEC_EXECUTOR_H_
@@ -29,8 +31,8 @@ namespace exec {
  * Runs `program` on every device of `spmd.mesh`. `global_inputs` are
  * global tensors (sharded per the module's input shardings; must already
  * be validated); returns global outputs reassembled per the output
- * shardings. Honors RunOptions::num_threads / deterministic exactly like
- * the interpreter backend.
+ * shardings; a replica mismatch in an output is an InternalError. Honors
+ * RunOptions::num_threads, deterministic, pool and stats.
  */
 StatusOr<std::vector<Tensor>> ExecuteCompiled(
     const SpmdModule& spmd, const DeviceProgram& program,

@@ -14,13 +14,20 @@ namespace {
 
 constexpr int64_t kElementBytes = 4;  // runtime tensors store 4-byte floats
 
-/** Size-class free lists: exact element count -> LIFO stack of slots. */
+/**
+ * Size-class free lists: exact element count -> LIFO stack of slots. With
+ * reuse off (the reference program) nothing is ever handed back out, so
+ * every value gets a fresh slot.
+ */
 class FreeLists {
  public:
+  explicit FreeLists(bool reuse) : reuse_(reuse) {}
+
   void Release(int slot, int64_t numel) { lists_[numel].push_back(slot); }
 
   /** Pops a free slot of exactly `numel` elements, or -1. */
   int Take(int64_t numel) {
+    if (!reuse_) return -1;
     auto it = lists_.find(numel);
     if (it == lists_.end() || it->second.empty()) return -1;
     int slot = it->second.back();
@@ -29,6 +36,7 @@ class FreeLists {
   }
 
  private:
+  bool reuse_;
   std::map<int64_t, std::vector<int>> lists_;
 };
 
@@ -92,7 +100,8 @@ std::vector<const Value*> CollectReads(const Operation& op) {
  * enclosing top-level instruction index, recorded as the occupancy window
  * of every body value for the peak-live sweep.
  */
-void PlanRegionBlock(const Block& body, int live_at, MemoryPlan& plan) {
+void PlanRegionBlock(const Block& body, int live_at, bool reuse,
+                     MemoryPlan& plan) {
   PARTIR_CHECK(body.num_ops() > 0 &&
                body.terminator()->kind() == OpKind::kYield)
       << "loop region must end in yield";
@@ -118,7 +127,7 @@ void PlanRegionBlock(const Block& body, int live_at, MemoryPlan& plan) {
     if (it != local_last.end()) it->second = num_body;
   }
 
-  FreeLists free;
+  FreeLists free(reuse);
   auto place_local = [&](const Value* value) {
     ValuePlan vp;
     vp.value = value;
@@ -147,7 +156,7 @@ void PlanRegionBlock(const Block& body, int live_at, MemoryPlan& plan) {
     // value's buffer must survive for the next iteration (and for every
     // later top-level reader), so only a dying body-local qualifies.
     const Value* adopted = nullptr;
-    if (op.num_results() == 1 && SupportsInPlace(op.kind())) {
+    if (reuse && op.num_results() == 1 && SupportsInPlace(op.kind())) {
       for (const Value* operand : op.operands()) {
         auto it = local_last.find(operand);
         if (it == local_last.end() || it->second != i) continue;
@@ -181,7 +190,7 @@ void PlanRegionBlock(const Block& body, int live_at, MemoryPlan& plan) {
     // Nested loops plan their bodies with the same occupancy window.
     if (op.num_regions() > 0) {
       for (int r = 0; r < op.num_regions(); ++r) {
-        PlanRegionBlock(op.region(r).block(), live_at, plan);
+        PlanRegionBlock(op.region(r).block(), live_at, reuse, plan);
       }
     }
 
@@ -209,7 +218,7 @@ void PlanRegionBlock(const Block& body, int live_at, MemoryPlan& plan) {
 
 }  // namespace
 
-MemoryPlan PlanMemory(const Func& func) {
+MemoryPlan PlanMemory(const Func& func, bool reuse) {
   const Block& body = func.body();
   PARTIR_CHECK(body.num_ops() > 0 &&
                body.terminator()->kind() == OpKind::kReturn)
@@ -254,7 +263,7 @@ MemoryPlan PlanMemory(const Func& func) {
   // exact element count. A dying operand is released only after the
   // instruction's results are placed — unless the instruction claims it in
   // place, in which case the result inherits the slot directly.
-  FreeLists free;
+  FreeLists free(reuse);
   auto new_slot = [&plan](int64_t numel) {
     plan.slot_numels.push_back(numel);
     return static_cast<int>(plan.slot_numels.size()) - 1;
@@ -285,7 +294,7 @@ MemoryPlan PlanMemory(const Func& func) {
     // first operand that dies here. A value read again later — or
     // returned — never qualifies, because its last_use is past i.
     const Value* adopted = nullptr;
-    if (op.num_results() == 1 && SupportsInPlace(op.kind())) {
+    if (reuse && op.num_results() == 1 && SupportsInPlace(op.kind())) {
       for (const Value* operand : op.operands()) {
         const ValuePlan& ovp = plan.values[plan.IndexOf(operand)];
         if (ovp.last_use == i &&
@@ -310,7 +319,7 @@ MemoryPlan PlanMemory(const Func& func) {
     // Loop bodies get their own (fresh, per-iteration-reused) slots.
     if (op.num_regions() > 0) {
       for (int r = 0; r < op.num_regions(); ++r) {
-        PlanRegionBlock(op.region(r).block(), i, plan);
+        PlanRegionBlock(op.region(r).block(), i, reuse, plan);
       }
     }
 

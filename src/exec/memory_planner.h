@@ -96,8 +96,11 @@ struct MemoryPlan {
  * reads every outer value referenced anywhere inside its region (extending
  * those values' liveness to the loop), and body-local values get their own
  * slots with per-iteration reuse. Deterministic: same function, same plan.
+ *
+ * With `reuse` false (the reference program) every SSA value gets its own
+ * fresh slot and no op is planned in place; liveness is still computed.
  */
-MemoryPlan PlanMemory(const Func& func);
+MemoryPlan PlanMemory(const Func& func, bool reuse = true);
 
 }  // namespace exec
 }  // namespace partir

@@ -1,12 +1,12 @@
 /**
  * @file
  * A persistent pool of device threads, created once per Executable and
- * reused across Run calls by both the compiled executor (executor.cc) and
- * the threaded SPMD interpreter (spmd_interpreter.cc).
+ * reused across the threaded Run calls of the SPMD runtime (executor.cc),
+ * whichever device program they run.
  *
  * Before the pool, every Run spawned and joined one std::thread per
  * simulated device — a fixed per-call cost that dominates serving latency
- * once the compiled executor has flattened everything else. The pool turns
+ * once the optimized program has flattened everything else. The pool turns
  * that into a wait/notify on long-lived workers; the per-device closures
  * still synchronize through the rendezvous primitives of
  * src/spmd/rendezvous.h (semaphore throttle + per-replica-group barriers)

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <map>
 
 #include "src/ir/op_kind.h"
 
@@ -225,6 +226,9 @@ Tensor EvalConvFilterGrad(const Operation& op, const Tensor& gout,
   return gf;
 }
 
+/** Environment mapping IR values to runtime tensors. */
+using Env = std::map<const Value*, Tensor>;
+
 class Interpreter {
  public:
   explicit Interpreter(Env& env) : env_(env) {}
@@ -256,15 +260,6 @@ class Interpreter {
   void Execute(const Operation& op) {
     if (op.kind() == OpKind::kLoop) {
       ExecuteLoop(op);
-      return;
-    }
-    if (op.kind() == OpKind::kPSlice) {
-      const Tensor& operand = Lookup(op.operand(0));
-      const Tensor& range = Lookup(op.operand(1));
-      int64_t dim = op.attrs().Get<int64_t>("dim");
-      int64_t count = op.operand(1)->type().range().size();
-      int64_t chunk = static_cast<int64_t>(range.at(0));
-      Bind(op.result(), operand.SliceChunk(dim, chunk, count));
       return;
     }
     std::vector<Tensor> operands;
@@ -323,10 +318,6 @@ class Interpreter {
 };
 
 }  // namespace
-
-void EvalOpInEnv(const Operation& op, Env& env) {
-  Interpreter(env).Execute(op);
-}
 
 std::vector<Tensor> EvalOp(const Operation& op,
                            const std::vector<Tensor>& operands) {
@@ -448,6 +439,13 @@ std::vector<Tensor> EvalOpRef(const Operation& op,
       return {EvalConvFilterGrad(op, *operands[0], *operands[1])};
     case OpKind::kTag:
       return {*operands[0]};
+    case OpKind::kPSlice: {
+      // Operand 1 is the loop's range argument: a scalar chunk index.
+      int64_t dim = op.attrs().Get<int64_t>("dim");
+      int64_t count = op.operand(1)->type().range().size();
+      int64_t chunk = static_cast<int64_t>(operands[1]->at(0));
+      return {operands[0]->SliceChunk(dim, chunk, count)};
+    }
     default:
       PARTIR_UNREACHABLE("unsupported op in reference interpreter: "
                          << OpKindName(kind));

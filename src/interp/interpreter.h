@@ -3,13 +3,14 @@
  * Reference interpreter for the array IR and PartIR:Core. Loops execute with
  * the paper's *sequential* semantics (Figure 13): a #tile loop concatenates
  * per-iteration results along the tiled dim, a #sum loop accumulates them,
- * and an [any] loop evaluates a single iteration. This gives an executable
- * specification against which partitioned programs are verified.
+ * and an [any] loop evaluates a single iteration. Evaluate is the
+ * executable specification against which partitioned programs are
+ * verified; EvalOpRef is the per-op kernel set the SPMD runtime's
+ * reference program (and the optimized program's generic kernel) calls.
  */
 #ifndef PARTIR_INTERP_INTERPRETER_H_
 #define PARTIR_INTERP_INTERPRETER_H_
 
-#include <map>
 #include <vector>
 
 #include "src/interp/tensor.h"
@@ -17,32 +18,22 @@
 
 namespace partir {
 
-/** Environment mapping IR values to runtime tensors. */
-using Env = std::map<const Value*, Tensor>;
-
 /** Evaluates a single operation given its operand tensors. */
 std::vector<Tensor> EvalOp(const Operation& op,
                            const std::vector<Tensor>& operands);
 
 /**
  * EvalOp over operand pointers: the same kernels without copying operand
- * tensors into the call — the compiled executor's generic fallback path.
+ * tensors into the call — the SPMD runtime's generic kernel. A PartIR:Core
+ * slice takes the loop's range value (a scalar tensor) as operand 1.
  */
 std::vector<Tensor> EvalOpRef(const Operation& op,
                               const std::vector<const Tensor*>& operands);
 
 /**
- * Evaluates one op — including PartIR:Core region ops (loop / slice, with
- * the sequential loop semantics of Figure 13) — against an external
- * environment: how the SPMD interpreter executes partially-lowered
- * device-local programs that still carry loop regions.
- */
-void EvalOpInEnv(const Operation& op, Env& env);
-
-/**
- * Scalar kernels of the unary / binary elementwise ops. Shared by the
- * reference interpreter and the compiled executor so the two backends stay
- * bit-identical by construction.
+ * Scalar kernels of the unary / binary elementwise ops. Shared by EvalOpRef
+ * and the optimized program's elementwise kernels so the reference and the
+ * optimized program stay bit-identical by construction.
  */
 float ApplyUnaryOp(OpKind kind, float x);
 float ApplyBinaryOp(OpKind kind, float a, float b);
@@ -50,7 +41,7 @@ float ApplyBinaryOp(OpKind kind, float a, float b);
 /**
  * Evaluates `func` on the given positional inputs, returning the values of
  * its return op. Handles array ops and PartIR:Core loop/slice ops; SPMD
- * collectives are rejected (use the SPMD interpreter).
+ * collectives are rejected (use RunSpmd).
  */
 std::vector<Tensor> Evaluate(const Func& func,
                              const std::vector<Tensor>& inputs);

@@ -1,6 +1,7 @@
 /**
  * @file
- * A dense row-major float tensor used by the reference and SPMD interpreters.
+ * A dense row-major float tensor used by the reference interpreter and the
+ * SPMD runtime.
  * Integer-typed IR values (gather/scatter indices) store their values in the
  * float payload; shapes in this project are small enough that exactness is
  * preserved (|int| < 2^24).

@@ -108,9 +108,9 @@ std::string SerializePartitionResult(const PartitionResult& result);
  * Rebuilds a PartitionResult from SerializePartitionResult bytes and
  * recompiles the process-local derived state: the collective plan is
  * rebuilt, and when the saved result carried a compiled device program one
- * is recompiled from the deserialized module (best-effort: a module the
- * compiled backend cannot cover loads with a null program, which every
- * runtime path treats as "compile ad hoc"). kDataLoss on corrupt input.
+ * is recompiled from the deserialized module (best-effort: a module that
+ * does not compile loads with a null program, and every Run then compiles
+ * ad hoc and reports the typed error). kDataLoss on corrupt input.
  */
 StatusOr<PartitionResult> DeserializePartitionResult(
     const std::string& bytes);

@@ -100,6 +100,35 @@ std::vector<std::string> FlattenAxesPerDim(const AxesPerDim& axes_per_dim) {
   return flat;
 }
 
+void SliceLayout(AxesPerDim& layout, const AxesPerDim& slice) {
+  for (size_t dim = 0; dim < slice.size(); ++dim) {
+    layout[dim].insert(layout[dim].end(), slice[dim].begin(),
+                       slice[dim].end());
+  }
+}
+
+bool GatherLayout(AxesPerDim& layout, const AxesPerDim& gather) {
+  for (size_t dim = 0; dim < gather.size(); ++dim) {
+    std::vector<std::string>& axes = layout[dim];
+    const std::vector<std::string>& undo = gather[dim];
+    if (undo.size() > axes.size() ||
+        !std::equal(undo.begin(), undo.end(), axes.end() - undo.size())) {
+      return false;
+    }
+    axes.resize(axes.size() - undo.size());
+  }
+  return true;
+}
+
+bool AllToAllLayout(AxesPerDim& layout, const std::string& axis,
+                    int64_t slice_dim, int64_t concat_dim) {
+  std::vector<std::string>& from = layout[concat_dim];
+  if (from.empty() || from.back() != axis) return false;
+  from.pop_back();
+  layout[slice_dim].push_back(axis);
+  return true;
+}
+
 namespace {
 
 /** Abort-free attribute read: typed error when missing or mistyped. */

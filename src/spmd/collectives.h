@@ -6,11 +6,11 @@
  *
  * A collective over mesh axes A partitions the devices into *replica
  * groups*: the devices that differ only in their coordinates along A. Both
- * SPMD runtimes (the sequential reference walker and the threaded
- * per-device runtime) evaluate a collective one group at a time through
- * EvalGroupCollective, whose reductions and concatenations always follow
- * group-position order — which is what makes the two runtimes bit-exact
- * with each other and repeated runs bit-stable.
+ * modes of the SPMD runtime (sequential and thread-per-device) evaluate a
+ * collective one group at a time through EvalGroupCollective, whose
+ * reductions and concatenations always follow group-position order — which
+ * is what makes the two modes bit-exact with each other and repeated runs
+ * bit-stable.
  *
  * Groups and attribute parses are precomputed once per op into a
  * CollectivePlan when the lowered module is built (instead of re-deriving
@@ -103,6 +103,20 @@ bool IsCollectiveKind(OpKind kind);
 std::vector<std::string> FlattenAxesPerDim(const AxesPerDim& axes_per_dim);
 
 /**
+ * Shard-layout bookkeeping for rewrites that redistribute a value. A layout
+ * lists, per dim, the mesh axes tiling it, outer-first (ValueSharding's
+ * order). all_slice and the slice side of all_to_all subdivide the local
+ * chunk, so their axis lands innermost; all_gather and the concat side of
+ * all_to_all can only undo innermost axes. The two functions that can fail
+ * return false (leaving `layout` unspecified) when the collective does not
+ * apply to the layout, i.e. would silently reorder the data.
+ */
+void SliceLayout(AxesPerDim& layout, const AxesPerDim& slice);
+bool GatherLayout(AxesPerDim& layout, const AxesPerDim& gather);
+bool AllToAllLayout(AxesPerDim& layout, const std::string& axis,
+                    int64_t slice_dim, int64_t concat_dim);
+
+/**
  * The replica-group mesh axes of a collective op, as BuildCollectivePlan
  * would group it (all_slice included: its flattened axes_per_dim, though it
  * is communication-free). Unlike the plan builder — which PARTIR_CHECKs —
@@ -130,7 +144,7 @@ std::vector<Tensor> ScatterReduced(const CollectiveOp& op,
  * Evaluates one group of a collective: `inputs[p]` is the contribution of
  * the device at group position p, and the result at index p is that
  * device's output. Reductions and concatenations follow position order, so
- * the result is independent of which thread (or walker) evaluates it.
+ * the result is independent of which thread evaluates it.
  * `op.kind` must not be kAllSlice (which is device-local).
  */
 std::vector<Tensor> EvalGroupCollective(const CollectiveOp& op,

@@ -1,10 +1,12 @@
 #include "src/spmd/lowering.h"
 
+#include <algorithm>
 #include <map>
 #include <set>
 #include <vector>
 
 #include "src/ir/builder.h"
+#include "src/spmd/collectives.h"
 #include "src/support/str_util.h"
 
 namespace partir {
@@ -58,48 +60,64 @@ class SpmdLowering {
 
  private:
   // Redistributes `value` (device-local) from placement `from` to `to`.
-  // Emits all_to_all for axes that move dims, all_gather for axes to drop,
-  // all_slice for axes to add.
-  Value* Reshard(Value* value, std::vector<ValueTile> from,
+  // Per dim, axes nest outer-first, and collectives can only add or remove
+  // the innermost one (collectives.h), so the emitted sequence follows the
+  // layouts exactly: all_to_all for axes that move dims where the nesting
+  // allows, then one all_gather for everything past the prefix each dim
+  // shares with the target, then one all_slice for the rest of the target.
+  Value* Reshard(Value* value, const std::vector<ValueTile>& from,
                  const std::vector<ValueTile>& to) {
-    auto dim_of = [](const std::vector<ValueTile>& tiles,
-                     const std::string& axis) -> int64_t {
-      for (const ValueTile& tile : tiles) {
-        if (tile.axis == axis) return tile.dim;
+    if (SameTiles(from, to)) return value;
+    const int rank = value->tensor_type().rank();
+    AxesPerDim layout = TilesToAxesPerDim(from, rank);
+    const AxesPerDim want = TilesToAxesPerDim(to, rank);
+    auto dim_of = [&layout](const std::string& axis) -> int64_t {
+      for (size_t dim = 0; dim < layout.size(); ++dim) {
+        for (const std::string& a : layout[dim]) {
+          if (a == axis) return static_cast<int64_t>(dim);
+        }
       }
       return -1;
     };
-    // 1. Axes present in both but on different dims: all_to_all.
+    // Whether `axis` is the next axis `want[dim]` needs after `layout[dim]`.
+    auto extends = [&](size_t dim, const std::string& axis) {
+      const std::vector<std::string>& have = layout[dim];
+      return have.size() < want[dim].size() && want[dim][have.size()] == axis &&
+             std::equal(have.begin(), have.end(), want[dim].begin());
+    };
+    // 1. all_to_all: an axis innermost on its dim moves to the next
+    //    position its target dim still needs.
     for (const ValueTile& target : to) {
-      int64_t from_dim = dim_of(from, target.axis);
-      if (from_dim < 0 || from_dim == target.dim) continue;
+      const int64_t from_dim = dim_of(target.axis);
+      if (from_dim < 0 || from_dim == target.dim ||
+          !extends(static_cast<size_t>(target.dim), target.axis) ||
+          !AllToAllLayout(layout, target.axis, target.dim, from_dim)) {
+        continue;
+      }
       value = builder_.AllToAll(value, /*slice_dim=*/target.dim,
                                 /*concat_dim=*/from_dim, {target.axis});
-      for (ValueTile& tile : from) {
-        if (tile.axis == target.axis) tile.dim = target.dim;
-      }
     }
-    // 2. Axes to drop: one all_gather.
-    AxesPerDim gather(value->tensor_type().rank());
+    // 2. One all_gather: each dim drops what follows its shared prefix.
+    AxesPerDim gather(rank);
     bool any_gather = false;
-    // Gather innermost-first within each dim: reverse tile order.
-    for (auto it = from.rbegin(); it != from.rend(); ++it) {
-      if (dim_of(to, it->axis) < 0) {
-        gather[it->dim].push_back(it->axis);
-        any_gather = true;
+    for (size_t dim = 0; dim < layout.size(); ++dim) {
+      size_t keep = 0;
+      while (keep < layout[dim].size() && keep < want[dim].size() &&
+             layout[dim][keep] == want[dim][keep]) {
+        ++keep;
       }
+      gather[dim].assign(layout[dim].begin() + keep, layout[dim].end());
+      layout[dim].resize(keep);
+      any_gather = any_gather || !gather[dim].empty();
     }
-    // Reverse each dim list back to outer-first order for the attribute.
-    for (auto& list : gather) std::reverse(list.begin(), list.end());
     if (any_gather) value = builder_.AllGather(value, gather);
-    // 3. Axes to add: one all_slice (communication-free).
-    AxesPerDim slice(value->tensor_type().rank());
+    // 3. One all_slice (communication-free): the rest of the target.
+    AxesPerDim slice(rank);
     bool any_slice = false;
-    for (const ValueTile& target : to) {
-      if (dim_of(from, target.axis) < 0) {
-        slice[target.dim].push_back(target.axis);
-        any_slice = true;
-      }
+    for (size_t dim = 0; dim < layout.size(); ++dim) {
+      slice[dim].assign(want[dim].begin() + layout[dim].size(),
+                        want[dim].end());
+      any_slice = any_slice || !slice[dim].empty();
     }
     if (any_slice) value = builder_.AllSlice(value, slice);
     return value;

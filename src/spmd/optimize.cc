@@ -7,6 +7,7 @@
 #include <utility>
 
 #include "src/ir/builder.h"
+#include "src/spmd/collectives.h"
 #include "src/support/str_util.h"
 
 namespace partir {
@@ -407,19 +408,26 @@ class Worklist {
           outside[axis] = dim;
         }
       }
+      // Keep the attribute's per-dim axis order (it encodes the nested
+      // tiling order of the shard layout). The residual slice nests inside
+      // the scatter, so the rewrite keeps the layout only when no outside
+      // axis is outer to a scattered one on the same dim.
+      AxesPerDim scatter(slice_axes.size());
+      AxesPerDim residual(slice_axes.size());
+      for (size_t dim = 0; dim < slice_axes.size(); ++dim) {
+        for (const std::string& axis : slice_axes[dim]) {
+          (outside.count(axis) ? residual : scatter)[dim].push_back(axis);
+        }
+      }
+      AxesPerDim layout(slice_axes.size());
+      SliceLayout(layout, scatter);
+      SliceLayout(layout, residual);
       const bool scatterable = static_cast<int64_t>(outside.size()) <
-                               static_cast<int64_t>(sliced.size());
+                                   static_cast<int64_t>(sliced.size()) &&
+                               layout == slice_axes;
       if (scatterable &&
           (outside.empty() || Enabled(kRewriteReduceScatterPartial))) {
         Value* y = innermost->operand(0);
-        // Keep the attribute's per-dim axis order (it encodes the nested
-        // tiling order of the shard layout).
-        AxesPerDim scatter(slice_axes.size());
-        for (size_t dim = 0; dim < slice_axes.size(); ++dim) {
-          for (const std::string& axis : slice_axes[dim]) {
-            if (!outside.count(axis)) scatter[dim].push_back(axis);
-          }
-        }
         Value* rs = builder_.ReduceScatter(y, scatter, reduction);
         std::vector<std::string> leftover;  // reduced but not sliced
         for (const std::string& axis : reduce_axes) {
@@ -428,15 +436,7 @@ class Worklist {
         if (!leftover.empty()) {
           rs = builder_.AllReduce(rs, leftover, reduction);
         }
-        if (!outside.empty()) {
-          AxesPerDim residual(rs->tensor_type().rank());
-          for (size_t dim = 0; dim < slice_axes.size(); ++dim) {
-            for (const std::string& axis : slice_axes[dim]) {
-              if (outside.count(axis)) residual[dim].push_back(axis);
-            }
-          }
-          rs = builder_.AllSlice(rs, residual);
-        }
+        if (!outside.empty()) rs = builder_.AllSlice(rs, residual);
         return rs;
       }
     }
@@ -456,28 +456,46 @@ class Worklist {
       if (!cancel.empty() || !moved.empty()) {
         Value* y = def->operand(0);
         int rank = y->tensor_type().rank();
+        // Residual gather (gathered axes not re-sliced) and residual slice
+        // (sliced axes that were not gathered), each in its attribute's
+        // per-dim order.
+        const AxesPerDim& gather_axes =
+            def->attrs().Get<AxesPerDim>("axes_per_dim");
+        AxesPerDim residual_gather(rank);
+        AxesPerDim residual_slice(rank);
+        bool any_gather = false;
+        bool any_slice = false;
+        for (int dim = 0; dim < rank; ++dim) {
+          for (const std::string& axis : gather_axes[dim]) {
+            if (slice.count(axis)) continue;
+            residual_gather[dim].push_back(axis);
+            any_gather = true;
+          }
+          for (const std::string& axis : slice_axes[dim]) {
+            if (gather.count(axis)) continue;
+            residual_slice[dim].push_back(axis);
+            any_slice = true;
+          }
+        }
+        // The rewrite must land on the same shard layout: relative to y's
+        // untouched outer axes, the gather's axes become the slice's.
+        AxesPerDim layout = gather_axes;
+        bool same_layout = true;
+        for (const std::string& axis : moved) {
+          same_layout = same_layout && AllToAllLayout(layout, axis,
+                                                      slice[axis],
+                                                      gather[axis]);
+        }
+        same_layout = same_layout && GatherLayout(layout, residual_gather);
+        if (same_layout) SliceLayout(layout, residual_slice);
+        if (!same_layout || layout != slice_axes) return nullptr;
+
         // Axes moving dims: all_to_all directly on y.
         for (const std::string& axis : moved) {
           y = builder_.AllToAll(y, /*slice_dim=*/slice[axis],
                                 /*concat_dim=*/gather[axis], {axis});
         }
-        // Residual gather (gathered axes not re-sliced).
-        AxesPerDim residual_gather(rank);
-        bool any_gather = false;
-        for (const auto& [axis, dim] : gather) {
-          if (slice.count(axis)) continue;
-          residual_gather[dim].push_back(axis);
-          any_gather = true;
-        }
         if (any_gather) y = builder_.AllGather(y, residual_gather);
-        // Residual slice (sliced axes that were not gathered).
-        AxesPerDim residual_slice(y->tensor_type().rank());
-        bool any_slice = false;
-        for (const auto& [axis, dim] : slice) {
-          if (gather.count(axis)) continue;
-          residual_slice[dim].push_back(axis);
-          any_slice = true;
-        }
         if (any_slice) y = builder_.AllSlice(y, residual_slice);
         return y;
       }

@@ -1,19 +1,12 @@
 #include "src/spmd/spmd_interpreter.h"
 
 #include <algorithm>
-#include <atomic>
 #include <cmath>
-#include <deque>
-#include <map>
-#include <thread>
+#include <memory>
 #include <utility>
 
 #include "src/exec/device_program.h"
 #include "src/exec/executor.h"
-#include "src/exec/worker_pool.h"
-#include "src/interp/interpreter.h"
-#include "src/spmd/collectives.h"
-#include "src/spmd/rendezvous.h"
 
 namespace partir {
 namespace {
@@ -69,140 +62,6 @@ Status ValidateSpmdInputs(const SpmdModule& spmd,
   return Status::Ok();
 }
 
-/** Evaluates a device-local (non-collective) op into `env`. */
-void EvalLocalOp(const Operation& op, Env& env) {
-  if (op.num_regions() > 0) {
-    // PartIR:Core loop still in the device-local program: the reference
-    // interpreter's sequential loop semantics, against this device's env.
-    EvalOpInEnv(op, env);
-    return;
-  }
-  std::vector<Tensor> operands;
-  operands.reserve(op.operands().size());
-  for (const Value* operand : op.operands()) {
-    operands.push_back(env.at(operand));
-  }
-  std::vector<Tensor> results = EvalOp(op, operands);
-  for (int i = 0; i < op.num_results(); ++i) {
-    env[op.result(i)] = std::move(results[i]);
-  }
-}
-
-/**
- * The sequential reference walker: one loop over ops, each evaluated on
- * every device (collectives one replica group at a time, in group-position
- * order — the same order the async runtime uses).
- */
-void RunSequential(const SpmdModule& spmd, const CollectivePlan& plan,
-                   std::vector<Env>& envs) {
-  const Func& func = *spmd.main();
-  int64_t num_devices = spmd.mesh.NumDevices();
-  for (const auto& op : func.body().ops()) {
-    if (op->kind() == OpKind::kReturn) return;
-    auto it = plan.ops.find(op.get());
-    if (it == plan.ops.end()) {
-      for (int64_t d = 0; d < num_devices; ++d) EvalLocalOp(*op, envs[d]);
-      continue;
-    }
-    const CollectiveOp& col = it->second;
-    if (col.kind == OpKind::kAllSlice) {
-      for (int64_t d = 0; d < num_devices; ++d) {
-        envs[d][op->result()] = ApplySliceSteps(
-            envs[d].at(op->operand(0)), col.slice_steps_per_device[d]);
-      }
-      continue;
-    }
-    for (const std::vector<int64_t>& group : col.groups->groups) {
-      std::vector<Tensor> inputs;
-      inputs.reserve(group.size());
-      for (int64_t d : group) inputs.push_back(envs[d].at(op->operand(0)));
-      std::vector<Tensor> outputs = EvalGroupCollective(col, inputs);
-      for (size_t p = 0; p < group.size(); ++p) {
-        envs[group[p]][op->result()] = std::move(outputs[p]);
-      }
-    }
-  }
-  PARTIR_UNREACHABLE("spmd function has no return");
-}
-
-/** The async per-device runtime: one thread per device, rendezvous
- *  collectives (rendezvous.h), and a semaphore throttling concurrency. */
-class ThreadedRunner {
- public:
-  ThreadedRunner(const SpmdModule& spmd, const CollectivePlan& plan,
-                 const RunOptions& options, std::vector<Env>& envs,
-                 int max_concurrency, std::atomic<int64_t>* alloc_sink)
-      : spmd_(spmd), plan_(plan), options_(options), envs_(envs),
-        throttle_(max_concurrency), alloc_sink_(alloc_sink) {
-    for (const auto& op : spmd_.main()->body().ops()) {
-      auto it = plan_.ops.find(op.get());
-      if (it == plan_.ops.end()) continue;
-      const CollectiveOp& col = it->second;
-      if (col.kind == OpKind::kAllSlice) continue;
-      auto& sites = sites_[op.get()];
-      for (int64_t g = 0; g < static_cast<int64_t>(col.groups->groups.size());
-           ++g) {
-        sites.emplace_back();
-      }
-    }
-  }
-
-  void Run() {
-    int64_t num_devices = spmd_.mesh.NumDevices();
-    // Prefer the executable's persistent worker pool; fall back to spawning
-    // when there is none, it is too small, or a concurrent Run holds it.
-    if (options_.pool != nullptr && options_.use_pool &&
-        options_.pool->num_workers() >= num_devices &&
-        options_.pool->TryRun(num_devices,
-                              [this](int64_t d) { RunDevice(d); })) {
-      return;
-    }
-    std::vector<std::thread> threads;
-    threads.reserve(num_devices);
-    for (int64_t d = 0; d < num_devices; ++d) {
-      threads.emplace_back([this, d] { RunDevice(d); });
-    }
-    for (std::thread& thread : threads) thread.join();
-  }
-
- private:
-  void RunDevice(int64_t device) {
-    AllocationScope alloc_scope(alloc_sink_);
-    throttle_.Acquire();
-    Env& env = envs_[device];
-    for (const auto& op : spmd_.main()->body().ops()) {
-      if (op->kind() == OpKind::kReturn) break;
-      auto it = plan_.ops.find(op.get());
-      if (it == plan_.ops.end()) {
-        EvalLocalOp(*op, env);
-        continue;
-      }
-      const CollectiveOp& col = it->second;
-      if (col.kind == OpKind::kAllSlice) {
-        env[op->result()] = ApplySliceSteps(
-            env.at(op->operand(0)), col.slice_steps_per_device[device]);
-        continue;
-      }
-      GroupSite& site =
-          sites_.at(op.get())[col.groups->group_of[device]];
-      env[op->result()] = RendezvousExchange(
-          col, site, col.groups->position_of[device],
-          env.at(op->operand(0)), options_.deterministic, &throttle_);
-    }
-    throttle_.Release();
-  }
-
-  const SpmdModule& spmd_;
-  const CollectivePlan& plan_;
-  const RunOptions& options_;
-  std::vector<Env>& envs_;
-  Semaphore throttle_;
-  std::atomic<int64_t>* alloc_sink_;
-  // One rendezvous per replica group per collective op, indexed by the
-  // group index of CollectiveOp::groups.
-  std::map<const Operation*, std::deque<GroupSite>> sites_;
-};
-
 }  // namespace
 
 PerDevice ShardTensor(const Tensor& global, const ValueSharding& sharding,
@@ -224,8 +83,9 @@ PerDevice ShardTensor(const Tensor& global, const ValueSharding& sharding,
   return shards;
 }
 
-Tensor UnshardTensor(const PerDevice& shards, const ValueSharding& sharding,
-                     const Mesh& mesh) {
+StatusOr<Tensor> UnshardTensor(const PerDevice& shards,
+                               const ValueSharding& sharding,
+                               const Mesh& mesh) {
   // Reconstruct the global tensor by walking every device's shard into its
   // global offset; devices holding the same chunk (replicas) must agree.
   std::vector<int64_t> global_dims = shards[0].dims();
@@ -249,7 +109,9 @@ Tensor UnshardTensor(const PerDevice& shards, const ValueSharding& sharding,
       }
       offsets[dim] = chunk * local_dims[dim];
     }
+    Status mismatch = Status::Ok();
     ForEachIndex(local_dims, [&](const std::vector<int64_t>& index) {
+      if (!mismatch.ok()) return;
       std::vector<int64_t> gindex = index;
       for (size_t i = 0; i < gindex.size(); ++i) gindex[i] += offsets[i];
       float value = shards[d].Get(index);
@@ -259,13 +121,16 @@ Tensor UnshardTensor(const PerDevice& shards, const ValueSharding& sharding,
             1e-3f * std::max(1.0f, std::max(std::abs(existing),
                                             std::abs(value)));
         bool both_nan = std::isnan(existing) && std::isnan(value);
-        PARTIR_CHECK(both_nan || std::abs(existing - value) <= tolerance)
-            << "replica mismatch at device " << d << ": " << existing
-            << " vs " << value;
+        if (!both_nan && !(std::abs(existing - value) <= tolerance)) {
+          mismatch = InternalError("replica mismatch at device ", d, ": ",
+                                   existing, " vs ", value);
+          return;
+        }
       }
       global.Set(gindex, value);
       written.Set(gindex, 1.0f);
     });
+    PARTIR_RETURN_IF_ERROR(mismatch);
   }
   return global;
 }
@@ -274,69 +139,16 @@ StatusOr<std::vector<Tensor>> RunSpmd(const SpmdModule& spmd,
                                       const std::vector<Tensor>& global_inputs,
                                       const RunOptions& options) {
   PARTIR_RETURN_IF_ERROR(ValidateSpmdInputs(spmd, global_inputs));
-  if (options.backend == ExecBackend::kCompiled) {
-    // Normally compiled once by the compile-device-programs pipeline pass;
-    // hand-built (or mutated) modules are compiled here per Run.
-    std::shared_ptr<const exec::DeviceProgram> program = spmd.exec_program;
-    if (program == nullptr) {
-      PARTIR_ASSIGN_OR_RETURN(program, exec::CompileDeviceProgram(spmd));
-    }
-    return exec::ExecuteCompiled(spmd, *program, global_inputs, options);
+  // The optimized program is normally compiled once by the
+  // compile-device-programs pipeline pass; hand-built (or mutated) modules
+  // compile one here per Run. The reference program is always fresh.
+  std::shared_ptr<const exec::DeviceProgram> program;
+  if (options.backend == ExecBackend::kCompiled) program = spmd.exec_program;
+  if (program == nullptr) {
+    PARTIR_ASSIGN_OR_RETURN(
+        program, exec::CompileDeviceProgram(spmd, options.backend));
   }
-  std::atomic<int64_t> run_allocs{0};
-  std::atomic<int64_t>* sink = options.stats != nullptr ? &run_allocs : nullptr;
-  // Counts sharding/unsharding on the calling thread; device threads install
-  // their own scope in RunDevice.
-  AllocationScope alloc_scope(sink);
-
-  // Normally precomputed right after collective optimization; modules built
-  // by hand (or mutated through mutable_spmd) are planned here.
-  std::shared_ptr<const CollectivePlan> local_plan = spmd.plan;
-  if (local_plan == nullptr) {
-    local_plan = BuildCollectivePlan(spmd.mesh, *spmd.module);
-  }
-
-  const Func& func = *spmd.main();
-  if (func.body().num_ops() == 0 ||
-      func.body().terminator()->kind() != OpKind::kReturn) {
-    return InternalError("SPMD function '", func.name(),
-                         "' has no return terminator");
-  }
-  int64_t num_devices = spmd.mesh.NumDevices();
-  std::vector<Env> envs(num_devices);
-  for (int i = 0; i < func.body().num_args(); ++i) {
-    PerDevice shards =
-        ShardTensor(global_inputs[i], spmd.input_shardings[i], spmd.mesh);
-    for (int64_t d = 0; d < num_devices; ++d) {
-      envs[d][func.body().arg(i)] = std::move(shards[d]);
-    }
-  }
-
-  int concurrency = options.num_threads == 0
-                        ? static_cast<int>(num_devices)
-                        : std::max(1, std::min(options.num_threads,
-                                               static_cast<int>(num_devices)));
-  if (concurrency == 1 || num_devices == 1) {
-    RunSequential(spmd, *local_plan, envs);
-  } else {
-    ThreadedRunner(spmd, *local_plan, options, envs, concurrency, sink).Run();
-  }
-
-  const Operation* ret = func.body().terminator();
-  std::vector<Tensor> outputs;
-  outputs.reserve(ret->operands().size());
-  for (size_t i = 0; i < ret->operands().size(); ++i) {
-    PerDevice shards(num_devices);
-    for (int64_t d = 0; d < num_devices; ++d) {
-      shards[d] = envs[d].at(ret->operand(i));
-    }
-    outputs.push_back(
-        UnshardTensor(shards, spmd.output_shardings[i], spmd.mesh));
-  }
-  if (options.stats != nullptr) {
-    options.stats->allocations = run_allocs.load(std::memory_order_relaxed);
-  }
-  return outputs;
+  return exec::ExecuteCompiled(spmd, *program, global_inputs, options);
 }
 
 }  // namespace partir

@@ -4,23 +4,23 @@
  * device of the mesh with real collective semantics (slice / gather /
  * reduce / reduce-scatter / all-to-all across mesh-axis replica groups).
  *
- * Two runtimes share one collective implementation (collectives.h):
+ * There is one runtime, the compiled executor (src/exec/executor.h). It
+ * runs a DeviceProgram either sequentially (RunOptions::num_threads == 1:
+ * each instruction on every device in turn, collectives one replica group
+ * at a time) or with one thread per simulated device meeting at
+ * rendezvous collectives (src/spmd/rendezvous.h) that fold each group in
+ * deterministic position order.
  *
- *  - the *sequential reference walker* (RunOptions::num_threads == 1): one
- *    global op-walker evaluates each op on every device in turn — the
- *    executable specification of the paper's Appendix C correctness
- *    theorem (partitioned program + collectives == unpartitioned program);
- *
- *  - the *async runtime* (the default): one thread per simulated device
- *    executes its device-local program independently; collectives are
- *    rendezvous objects with barrier semantics — each device deposits its
- *    contribution and blocks until the whole replica group has arrived,
- *    the last arrival evaluates the group in deterministic position order,
- *    and all members pick up their outputs.
- *
- * Because both runtimes evaluate collectives through the same group-ordered
- * functions, their outputs are bit-identical; the async runtime surfaces
- * real overlap and ordering bugs that lock-step emulation cannot.
+ * RunOptions::backend only picks which program runs. The *reference
+ * program* (ExecBackend::kInterpret) is compiled with every optimization
+ * off: one instruction per op, one fresh arena slot per SSA value, and
+ * every local op evaluated by the interpreter's EvalOpRef. It is the
+ * executable form of the paper's Appendix C theorem (partitioned program +
+ * collectives == unpartitioned program). The *optimized program*
+ * (ExecBackend::kCompiled) adds slot reuse, in-place updates, fused
+ * elementwise chains and a blocked dot. The two are bit-identical, so the
+ * planner's and the kernel tier's decisions are the only thing a
+ * reference-versus-optimized comparison tests.
  */
 #ifndef PARTIR_SPMD_SPMD_INTERPRETER_H_
 #define PARTIR_SPMD_SPMD_INTERPRETER_H_
@@ -51,14 +51,19 @@ struct RunStats {
   int64_t allocations = 0;
 };
 
-/** Which execution engine drives the device-local programs. */
+/** Which compiled device program the runtime executes. */
 enum class ExecBackend {
-  /** The op-walking SPMD interpreter: fresh tensor per op per device. */
+  /**
+   * The reference program, compiled fresh on every Run with every
+   * optimization off: one instruction per op, one arena slot per SSA
+   * value, no operand moved out of the arena, and every local op
+   * (including loop-body ops) evaluated by the interpreter's EvalOpRef.
+   */
   kInterpret,
   /**
-   * The compiled executor (src/exec/): flat instruction stream with
-   * pre-resolved arena slots from the liveness memory planner.
-   * Bit-identical outputs to kInterpret on all supported programs.
+   * The optimized program (src/exec/device_program.h): liveness slot
+   * reuse, in-place elementwise updates, fused elementwise chains and a
+   * blocked rank-2 dot. Bit-identical outputs to kInterpret.
    */
   kCompiled,
 };
@@ -67,30 +72,32 @@ enum class ExecBackend {
 struct RunOptions {
   /**
    * Worker threads executing device programs. 0 (default) runs one thread
-   * per simulated device; 1 selects the sequential reference walker; any
-   * other value caps how many device threads run concurrently (a thread
-   * waiting at a collective rendezvous releases its slot, so any positive
-   * cap is deadlock-free). Values above the device count are clamped.
+   * per simulated device; 1 runs every device in turn on the calling
+   * thread; any other value caps how many device threads run concurrently
+   * (a thread waiting at a collective rendezvous releases its slot, so any
+   * positive cap is deadlock-free). Values above the device count are
+   * clamped.
    */
   int num_threads = 0;
   /**
    * When true (default), collective reductions fold in group-position
-   * order: outputs are bit-identical to the sequential walker and across
+   * order: outputs are bit-identical to the sequential mode and across
    * repeated runs. When false, all_reduce / reduce_scatter fold in thread
    * arrival order — correct within float tolerance, not bit-stable.
    */
   bool deterministic = true;
   /**
-   * Execution engine. kInterpret (default) walks the IR per Run;
-   * kCompiled executes the precompiled DeviceProgram (compiling one ad hoc
-   * when the module carries none). Both honor num_threads/deterministic
-   * identically.
+   * Program to execute. kCompiled (default) runs the module's precompiled
+   * optimized DeviceProgram, compiling one ad hoc when the module carries
+   * none; kInterpret compiles and runs the reference program. Both go
+   * through the same runtime, so num_threads, deterministic, pool and
+   * stats mean the same thing for either.
    */
-  ExecBackend backend = ExecBackend::kInterpret;
+  ExecBackend backend = ExecBackend::kCompiled;
   /**
    * Persistent device worker pool (exec/worker_pool.h). When non-null,
    * `use_pool` is true, and the pool has at least one worker per device,
-   * the threaded runtimes dispatch device bodies onto the pool's resident
+   * the threaded runtime dispatches device bodies onto the pool's resident
    * threads instead of spawning a fresh std::thread per device per Run.
    * If the pool is busy (another Run holds its submit lease), execution
    * falls back to spawning, so concurrent Runs stay correct.
@@ -106,18 +113,22 @@ PerDevice ShardTensor(const Tensor& global, const ValueSharding& sharding,
                       const Mesh& mesh);
 
 /**
- * Reassembles a global tensor from per-device shards; checks that devices
- * holding the same shard agree (replica consistency).
+ * Reassembles a global tensor from per-device shards. Devices holding the
+ * same shard must agree (replica consistency); a disagreement, e.g. an
+ * output declared replicated that the devices compute differently, is an
+ * InternalError naming the device.
  */
-Tensor UnshardTensor(const PerDevice& shards, const ValueSharding& sharding,
-                     const Mesh& mesh);
+StatusOr<Tensor> UnshardTensor(const PerDevice& shards,
+                               const ValueSharding& sharding,
+                               const Mesh& mesh);
 
 /**
  * Runs the SPMD program on all devices. `inputs[i]` are the *global* input
  * tensors; they are sharded per the module's input shardings. Returns the
  * *global* outputs, reassembled per the output shardings. Input arity and
  * shape mismatches (including unshardable global dims) are typed errors,
- * reported before any device thread starts.
+ * reported before any device thread starts; replica mismatches in the
+ * outputs are typed errors too.
  */
 StatusOr<std::vector<Tensor>> RunSpmd(const SpmdModule& spmd,
                                       const std::vector<Tensor>& global_inputs,

@@ -34,8 +34,8 @@ bool BitIdentical(const std::vector<Tensor>& a, const std::vector<Tensor>& b) {
   return true;
 }
 
-/** Per-request unbatched reference: the unit executable under the
- *  sequential reference walker (fallback to unpartitioned when the
+/** Per-request unbatched reference: the unit executable's reference
+ *  program, run sequentially (fallback to unpartitioned when the
  *  schedule cannot shard the unit batch, as the batcher itself would). */
 Executable UnitReference(WorkloadHarness& harness, const ServeWorkload& w) {
   StatusOr<Executable> exe = harness.unit().Partition(w.schedule, w.mesh);
@@ -52,6 +52,7 @@ TEST(BatchPropertyTest, StackRunDestackEqualsPerRequestRunOnAllWorkloads) {
     Executable reference = UnitReference(harness, workload);
     RunOptions sequential;
     sequential.num_threads = 1;
+    sequential.backend = ExecBackend::kInterpret;
 
     Program program = Program::Capture(workload.build, 1);
     BatchOptions options;
@@ -152,6 +153,7 @@ TEST(BatchPropertyTest, UnshardableBatchSizesFallBackAndStayCorrect) {
   Executable reference = UnitReference(harness, workload);
   RunOptions sequential;
   sequential.num_threads = 1;
+  sequential.backend = ExecBackend::kInterpret;
 
   Program program = Program::Capture(workload.build, 1);
   BatchOptions options;

@@ -1,16 +1,22 @@
-// Differential tests for the compiled executor backend: every example and
-// serving workload runs through RunOptions::backend = kCompiled and must be
-// bit-identical (memcmp) to the op-walking interpreter, sequentially and
-// threaded. Also covers memory_stats(), ad-hoc compilation after module
-// mutation, cache-hit clones, and a batcher smoke on the compiled backend.
-// This suite runs under the ThreadSanitizer CI job.
+// Differential tests for the optimized device program: every example and
+// serving workload runs the optimized program (RunOptions::backend =
+// kCompiled, the default) and must be bit-identical (memcmp) to the
+// reference program (kInterpret: no slot reuse, no in-place updates, no
+// fused kernels), sequentially and threaded. Also covers memory_stats(),
+// ad-hoc compilation after module mutation, cache-hit clones, a batcher
+// smoke, and a seeded random-program differential test. This suite runs
+// under the ThreadSanitizer CI job.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstring>
+#include <functional>
+#include <random>
 
 #include "src/api/partir.h"
 #include "src/exec/device_program.h"
 #include "src/exec/worker_pool.h"
+#include "src/interp/interpreter.h"
 #include "src/ir/builder.h"
 #include "src/models/gns.h"
 #include "src/models/schedules.h"
@@ -38,17 +44,17 @@ void ExpectBitIdentical(const std::vector<Tensor>& a,
   }
 }
 
-// Runs interpreter and compiled backends in sequential, fully-threaded and
-// capped-thread modes; asserts the compiled outputs are bit-identical to
-// the interpreter's in every mode.
+// Runs the reference and the optimized program in sequential,
+// fully-threaded and capped-thread modes; asserts the optimized outputs are
+// bit-identical to the reference's in every mode.
 void ExpectBackendsAgree(const Executable& exe,
                          const std::vector<Tensor>& inputs,
                          const std::string& label) {
   for (int num_threads : {1, 0, 3}) {
-    RunOptions interpret;
-    interpret.num_threads = num_threads;
-    RunOptions compiled = interpret;
-    compiled.backend = ExecBackend::kCompiled;
+    RunOptions compiled;
+    compiled.num_threads = num_threads;
+    RunOptions interpret = compiled;
+    interpret.backend = ExecBackend::kInterpret;
     std::vector<Tensor> want = exe.Run(inputs, interpret).value();
     std::vector<Tensor> got = exe.Run(inputs, compiled).value();
     ExpectBitIdentical(want, got,
@@ -118,8 +124,8 @@ TEST(ExecBackendTest, TransformerTrainingBpMp) {
 
 // Differential coverage for the boundary-aware realization of the
 // standalone-EMB schedule (PartitionOptions::boundary_realization): the
-// new lowering must be bit-identical between the interpreter and the
-// compiled backend in sequential, fully-threaded and capped-thread modes,
+// new lowering must be bit-identical between the reference and the
+// optimized program in sequential, fully-threaded and capped-thread modes,
 // and both the boundary-realized and the historical all-all_reduce
 // lowerings must agree with the unpartitioned reference evaluation.
 // Collective reductions re-associate float sums, so the reference
@@ -223,7 +229,7 @@ TEST(ExecBackendTest, ServingWorkloadsAgreeOnBothBackends) {
           program.Partition(workload.schedule, workload.mesh);
       if (!exe.ok()) {
         // Batch sizes the schedule cannot shard serve unpartitioned (the
-        // batcher's fallback); the compiled backend must cover that too.
+        // batcher's fallback); the optimized program must cover that too.
         exe = program.Partition({}, workload.mesh);
       }
       ASSERT_TRUE(exe.ok()) << exe.status().ToString();
@@ -269,7 +275,7 @@ TEST(ExecBackendTest, MutableAccessDropsProgramAndAdHocCompileStillAgrees) {
   // with the collective plan...
   exe.mutable_spmd();
   EXPECT_EQ(exe.spmd().exec_program, nullptr);
-  // ...and a compiled-backend Run recompiles ad hoc, still bit-identical.
+  // ...and the next Run recompiles ad hoc, still bit-identical.
   ExpectBackendsAgree(exe, program.RandomInputs(3), "after invalidation");
 }
 
@@ -290,13 +296,10 @@ TEST(ExecBackendTest, CacheHitClonesShareTheCompiledProgram) {
       << "cache-hit clones should share one immutable program";
   std::vector<Tensor> inputs = program.RandomInputs(4);
   ExpectBackendsAgree(second, inputs, "cache-hit clone");
-  RunOptions compiled;
-  compiled.backend = ExecBackend::kCompiled;
-  ExpectBitIdentical(first.Run(inputs, compiled).value(),
-                     second.Run(inputs, compiled).value(),
+  ExpectBitIdentical(first.Run(inputs).value(), second.Run(inputs).value(),
                      "clone vs original");
   // Mutable access drops the shared program without touching the
-  // original's, and the next compiled Run still agrees bit-for-bit.
+  // original's, and the next Run still agrees bit-for-bit.
   second.mutable_spmd();
   EXPECT_EQ(second.spmd().exec_program, nullptr);
   ASSERT_NE(first.spmd().exec_program, nullptr);
@@ -333,8 +336,8 @@ TEST(ExecBackendTest, ElementwiseChainsFuseAndStayBitIdentical) {
 
 // A device-local module still carrying loop regions (tile with slices, a
 // nested tile inside a sum, and an elementwise tail in a body) must compile
-// — no interpreter fallback — and agree bit-for-bit with the op-walking
-// interpreter in every threading mode.
+// and agree bit-for-bit with the reference program in every threading
+// mode.
 TEST(ExecBackendTest, LoopRegionModulesCompileAndAgree) {
   Mesh mesh({{"B", 2}});
   SpmdModule spmd;
@@ -386,20 +389,25 @@ TEST(ExecBackendTest, LoopRegionModulesCompileAndAgree) {
 
   std::vector<Tensor> inputs = {Tensor::Random({8, 4}, 51),
                                 Tensor::Random({4, 6}, 52)};
-  RunOptions sequential;
-  sequential.num_threads = 1;
-  std::vector<Tensor> want = RunSpmd(spmd, inputs, sequential).value();
+  RunOptions reference;
+  reference.num_threads = 1;
+  reference.backend = ExecBackend::kInterpret;
+  std::vector<Tensor> want = RunSpmd(spmd, inputs, reference).value();
+  // The unpartitioned interpreter's loop semantics agree too (the module
+  // is fully replicated, so its device program is the whole program).
+  ExpectBitIdentical(Evaluate(*spmd.main(), inputs), want,
+                     "loop region vs Evaluate");
   for (int num_threads : {1, 0}) {
     RunOptions compiled;
     compiled.num_threads = num_threads;
-    compiled.backend = ExecBackend::kCompiled;
     ExpectBitIdentical(RunSpmd(spmd, inputs, compiled).value(), want,
                        "loop region (threads=" +
                            std::to_string(num_threads) + ")");
   }
-  // The threaded interpreter walks the same loops per device.
-  ExpectBitIdentical(RunSpmd(spmd, inputs, {}).value(), want,
-                     "loop region threaded interpreter");
+  // The threaded reference program runs the same loops per device.
+  reference.num_threads = 0;
+  ExpectBitIdentical(RunSpmd(spmd, inputs, reference).value(), want,
+                     "loop region threaded reference");
 }
 
 // ---- Persistent worker pool ----
@@ -415,21 +423,22 @@ TEST(ExecBackendTest, PersistentPoolStopsSpawningThreadsAcrossRuns) {
   sequential.num_threads = 1;
   std::vector<Tensor> want = exe.Run(inputs, sequential).value();
 
-  RunOptions compiled;
-  compiled.backend = ExecBackend::kCompiled;
   // The first threaded Run creates the executable's pool...
-  ExpectBitIdentical(exe.Run(inputs, compiled).value(), want, "first run");
+  ExpectBitIdentical(exe.Run(inputs).value(), want, "first run");
   int64_t created = exec::WorkerPool::threads_created();
   // ...and 1000 back-to-back Runs reuse its resident workers: the
   // process-wide thread-creation count must not move.
   for (int r = 0; r < 1000; ++r) {
-    ASSERT_TRUE(exe.Run(inputs, compiled).ok());
+    ASSERT_TRUE(exe.Run(inputs).ok());
   }
-  // The threaded interpreter backend drives the same pool.
-  ExpectBitIdentical(exe.Run(inputs, {}).value(), want, "interpreter run");
+  // The threaded reference program drives the same pool.
+  RunOptions reference;
+  reference.backend = ExecBackend::kInterpret;
+  ExpectBitIdentical(exe.Run(inputs, reference).value(), want,
+                     "reference run");
   EXPECT_EQ(exec::WorkerPool::threads_created(), created)
       << "pooled Runs spawned fresh pool threads";
-  ExpectBitIdentical(exe.Run(inputs, compiled).value(), want, "last run");
+  ExpectBitIdentical(exe.Run(inputs).value(), want, "last run");
 }
 
 TEST(ExecBackendTest, TwoExecutablesDriveIndependentPools) {
@@ -448,15 +457,13 @@ TEST(ExecBackendTest, TwoExecutablesDriveIndependentPools) {
   sequential.num_threads = 1;
   std::vector<Tensor> want_a = a.Run(inputs_a, sequential).value();
   std::vector<Tensor> want_b = b.Run(inputs_b, sequential).value();
-  RunOptions compiled;
-  compiled.backend = ExecBackend::kCompiled;
   // Warm both pools, then interleave: neither executable's Runs may spawn.
-  ASSERT_TRUE(a.Run(inputs_a, compiled).ok());
-  ASSERT_TRUE(b.Run(inputs_b, compiled).ok());
+  ASSERT_TRUE(a.Run(inputs_a).ok());
+  ASSERT_TRUE(b.Run(inputs_b).ok());
   int64_t created = exec::WorkerPool::threads_created();
   for (int r = 0; r < 50; ++r) {
-    ExpectBitIdentical(a.Run(inputs_a, compiled).value(), want_a, "a");
-    ExpectBitIdentical(b.Run(inputs_b, compiled).value(), want_b, "b");
+    ExpectBitIdentical(a.Run(inputs_a).value(), want_a, "a");
+    ExpectBitIdentical(b.Run(inputs_b).value(), want_b, "b");
   }
   EXPECT_EQ(exec::WorkerPool::threads_created(), created);
 }
@@ -468,19 +475,17 @@ TEST(ExecBackendTest, RespecializeWhilePoolIsLive) {
       program.Partition({ManualPartition{"BP", {{"x", 0}}, "B"}}, mesh)
           .value();
   std::vector<Tensor> inputs = program.RandomInputs(64);
-  RunOptions compiled;
-  compiled.backend = ExecBackend::kCompiled;
   // Warm the first executable's pool, then respecialize while it is live:
   // the new executable gets its own pool and both keep running.
-  ASSERT_TRUE(first.Run(inputs, compiled).ok());
+  ASSERT_TRUE(first.Run(inputs).ok());
   Executable second =
       first.Respecialize({ManualPartition{"MP", {{"w1", 1}}, "M"}}).value();
   RunOptions sequential;
   sequential.num_threads = 1;
-  ExpectBitIdentical(second.Run(inputs, compiled).value(),
+  ExpectBitIdentical(second.Run(inputs).value(),
                      second.Run(inputs, sequential).value(),
                      "respecialized while pool live");
-  ExpectBitIdentical(first.Run(inputs, compiled).value(),
+  ExpectBitIdentical(first.Run(inputs).value(),
                      first.Run(inputs, sequential).value(),
                      "original after respecialize");
 }
@@ -493,7 +498,6 @@ TEST(ExecBackendTest, UsePoolFalseStillAgrees) {
           .value();
   std::vector<Tensor> inputs = program.RandomInputs(65);
   RunOptions pooled;
-  pooled.backend = ExecBackend::kCompiled;
   RunOptions spawning = pooled;
   spawning.use_pool = false;
   ExpectBitIdentical(exe.Run(inputs, pooled).value(),
@@ -512,7 +516,6 @@ TEST(ExecBackendTest, RunStatsCountAllocationsPerRun) {
   std::vector<Tensor> inputs = program.RandomInputs(66);
 
   RunOptions compiled;
-  compiled.backend = ExecBackend::kCompiled;
   RunStats stats;
   compiled.stats = &stats;
   ASSERT_TRUE(exe.Run(inputs, compiled).ok());
@@ -526,14 +529,15 @@ TEST(ExecBackendTest, RunStatsCountAllocationsPerRun) {
   exec::MemoryStats mem = exe.memory_stats().value();
   EXPECT_EQ(mem.last_run_allocations, first_run);
 
-  // The interpreter backend fills the same stats.
+  // The reference program fills the same stats.
   RunOptions interpret;
+  interpret.backend = ExecBackend::kInterpret;
   interpret.stats = &stats;
   ASSERT_TRUE(exe.Run(inputs, interpret).ok());
   EXPECT_GT(stats.allocations, 0);
 }
 
-// ---- Batcher smoke on the compiled backend ----
+// ---- Batcher smoke on the optimized program ----
 
 TEST(ExecBackendTest, BatcherServesCompiledBackendBitIdentically) {
   ServeWorkload workload = serving::MatMulChainWorkload();
@@ -547,7 +551,6 @@ TEST(ExecBackendTest, BatcherServesCompiledBackendBitIdentically) {
   BatchOptions options;
   options.max_batch = 4;
   options.max_delay_us = 10000;
-  options.run.backend = ExecBackend::kCompiled;
   std::unique_ptr<Batcher> batcher =
       program.Serve(workload.schedule, workload.mesh, options).value();
 
@@ -568,6 +571,296 @@ TEST(ExecBackendTest, BatcherServesCompiledBackendBitIdentically) {
   BatcherStats stats = batcher->stats();
   EXPECT_EQ(stats.completed, 12);
   EXPECT_EQ(stats.failed, 0);
+}
+
+// ---- Seeded random programs: reference vs optimized vs Evaluate ----
+
+/**
+ * Builds a random traced program over OpBuilder's array ops and a random
+ * ManualPartition schedule for it. Every dim is a multiple of the mesh's
+ * device count, so any dim may be sharded on either axis or both; ops that
+ * would break that (slices, concatenations) keep to multiples of it.
+ */
+class RandomProgramCase {
+ public:
+  explicit RandomProgramCase(uint64_t seed) : rng_(seed), program_("random") {
+    // A 1- or 2-axis mesh with axes of size 2 or 4 (at most 8 devices).
+    std::vector<MeshAxis> axes = {{"a", Pick({2, 4})}};
+    if (Coin()) axes.push_back({"b", axes[0].size == 4 ? 2 : Pick({2, 4})});
+    mesh_ = Mesh(axes);
+    unit_ = mesh_.NumDevices();
+
+    const int num_inputs = Uniform(1, 3);
+    for (int i = 0; i < num_inputs; ++i) {
+      std::string name = "x" + std::to_string(i);
+      pool_.push_back(program_.AddInput(TensorType({Dim(), Dim()}), name));
+      input_names_.push_back(name);
+    }
+    const int num_ops = Uniform(4, 12);
+    for (int i = 0; i < num_ops; ++i) pool_.push_back(RandomOp());
+    // The last two values and a random one, so few ops are dead code.
+    std::vector<Value*> outputs = {pool_.back()};
+    for (Value* extra : {pool_[pool_.size() - 2], Operand()}) {
+      if (std::find(outputs.begin(), outputs.end(), extra) == outputs.end()) {
+        outputs.push_back(extra);
+      }
+    }
+    program_.Return(outputs);
+
+    const int num_tactics = Uniform(1, 3);
+    for (int t = 0; t < num_tactics; ++t) {
+      ManualPartition tactic;
+      tactic.name = "t" + std::to_string(t);
+      tactic.axis = axes[Uniform(0, static_cast<int>(axes.size()) - 1)].name;
+      const int num_keys = Uniform(1, 2);
+      for (int k = 0; k < num_keys; ++k) {
+        const std::string& key =
+            input_names_[Uniform(0, static_cast<int>(input_names_.size()) - 1)];
+        // Dim 2 is out of range for the rank-2 inputs: a typed error.
+        tactic.inputs.push_back(
+            {key, Pick({0, 1, 1, 0, kFirstDivisibleDim, kReplicated, 2})});
+      }
+      schedule_.push_back(tactic);
+    }
+  }
+
+  Program& program() { return program_; }
+  const Mesh& mesh() const { return mesh_; }
+  const std::vector<Tactic>& schedule() const { return schedule_; }
+
+ private:
+  int Uniform(int lo, int hi) {
+    return std::uniform_int_distribution<int>(lo, hi)(rng_);
+  }
+  bool Coin() { return Uniform(0, 1) == 1; }
+  int64_t Pick(std::initializer_list<int64_t> options) {
+    return options.begin()[Uniform(0, static_cast<int>(options.size()) - 1)];
+  }
+  int64_t Dim() { return unit_ * Pick({1, 2}); }
+
+  /** An operand for the next op: usually one of the two newest values,
+   *  so ops chain into each other instead of fanning out from inputs. */
+  Value* Operand() {
+    const int n = static_cast<int>(pool_.size());
+    if (n > 2 && Uniform(0, 2) > 0) return pool_[n - 1 - Uniform(0, 1)];
+    return pool_[Uniform(0, n - 1)];
+  }
+
+  /** A random pool value of rank `rank`, or null when there is none. */
+  Value* PickOfRank(int64_t rank) {
+    std::vector<Value*> matches;
+    for (Value* v : pool_) {
+      if (v->tensor_type().rank() == rank) matches.push_back(v);
+    }
+    if (matches.empty()) return nullptr;
+    return matches[Uniform(0, static_cast<int>(matches.size()) - 1)];
+  }
+  /** A random pool value other than `avoid` whose dims satisfy `pred`,
+   *  else `fallback`. */
+  Value* PickWhere(const std::function<bool(const Value*)>& pred,
+                   Value* fallback, const Value* avoid = nullptr) {
+    std::vector<Value*> matches;
+    for (Value* v : pool_) {
+      if (v != avoid && pred(v)) matches.push_back(v);
+    }
+    if (matches.empty()) return fallback;
+    return matches[Uniform(0, static_cast<int>(matches.size()) - 1)];
+  }
+
+  Value* RandomOp() {
+    OpBuilder& b = program_.builder();
+    Value* v = Operand();
+    const std::vector<int64_t> dims = v->tensor_type().dims();
+    const int64_t rank = v->tensor_type().rank();
+    switch (Uniform(0, 8)) {
+      case 0: {  // MatMul of two rank-2 values (the rhs transposed if needed)
+        Value* lhs = rank == 2 ? v : PickOfRank(2);
+        if (lhs == nullptr) break;
+        int64_t k = lhs->tensor_type().dim(1);
+        Value* rhs = PickWhere(
+            [k](const Value* c) {
+              return c->tensor_type().rank() == 2 &&
+                     c->tensor_type().dim(0) == k;
+            },
+            nullptr);
+        if (rhs == nullptr) rhs = b.Transpose(lhs, {1, 0});
+        return b.MatMul(lhs, rhs);
+      }
+      case 1: {  // Add / Mul / Sub / Max with a same-shape partner
+        Value* rhs = PickWhere(
+            [&](const Value* c) { return c->tensor_type().dims() == dims; },
+            v, v);
+        OpKind kind = static_cast<OpKind>(
+            Pick({static_cast<int64_t>(OpKind::kAdd),
+                  static_cast<int64_t>(OpKind::kMul),
+                  static_cast<int64_t>(OpKind::kSub),
+                  static_cast<int64_t>(OpKind::kMax)}));
+        return Coin() ? b.Binary(kind, v, rhs) : b.Binary(kind, rhs, v);
+      }
+      case 2:  // Exp (of a tanh, so nothing overflows) / Tanh / Neg
+        switch (Uniform(0, 2)) {
+          case 0:
+            return b.Exp(b.Tanh(v));
+          case 1:
+            return b.Tanh(v);
+          default:
+            return b.Neg(v);
+        }
+      case 3: {  // Transpose: reverse a rank-2, rotate a rank-3
+        if (rank == 2) return b.Transpose(v, {1, 0});
+        if (rank == 3) return b.Transpose(v, {2, 0, 1});
+        break;
+      }
+      case 4: {  // Reshape: split a rank-2 trailing dim, or merge it back
+        if (rank == 2 && dims[1] % (2 * unit_) == 0) {
+          return b.Reshape(v, {dims[0], 2, dims[1] / 2});
+        }
+        if (rank == 3) return b.Reshape(v, {dims[0], dims[1] * dims[2]});
+        break;
+      }
+      case 5: {  // Reduce one dim of a rank >= 2 value (sum or max)
+        if (rank < 2) break;
+        return b.Reduce(v, {Uniform(0, static_cast<int>(rank) - 1)},
+                        Coin() ? "sum" : "max");
+      }
+      case 6: {  // BroadcastInDim: rank 1 -> 2, rank 2 -> 3
+        if (rank == 1) {
+          return Coin() ? b.BroadcastInDim(v, {dims[0], Dim()}, {0})
+                        : b.BroadcastInDim(v, {Dim(), dims[0]}, {1});
+        }
+        if (rank == 2) {
+          return b.BroadcastInDim(v, {dims[0], unit_, dims[1]}, {0, 2});
+        }
+        break;
+      }
+      case 7: {  // Concatenate with a partner agreeing off the concat dim
+        const int64_t dim = Uniform(0, static_cast<int>(rank) - 1);
+        if (dims[dim] > 2 * unit_) break;
+        Value* other = PickWhere(
+            [&](const Value* c) {
+              const std::vector<int64_t>& cd = c->tensor_type().dims();
+              if (cd.size() != dims.size() || cd[dim] > 2 * unit_) {
+                return false;
+              }
+              for (size_t i = 0; i < cd.size(); ++i) {
+                if (static_cast<int64_t>(i) != dim && cd[i] != dims[i]) {
+                  return false;
+                }
+              }
+              return true;
+            },
+            v, v);
+        return b.Concatenate({v, other}, dim);
+      }
+      case 8: {  // StaticSlice a window of whole device-count units
+        const int64_t dim = Uniform(0, static_cast<int>(rank) - 1);
+        const int64_t units = dims[dim] / unit_;
+        if (dims[dim] % unit_ != 0 || units < 2) break;
+        const int64_t len = Uniform(1, static_cast<int>(units) - 1);
+        const int64_t start = Uniform(0, static_cast<int>(units - len));
+        std::vector<int64_t> starts(rank, 0);
+        std::vector<int64_t> limits = dims;
+        starts[dim] = start * unit_;
+        limits[dim] = (start + len) * unit_;
+        return b.StaticSlice(v, starts, limits);
+      }
+      default:
+        break;
+    }
+    return b.Tanh(v);  // the drawn op does not fit `v`
+  }
+
+  std::mt19937_64 rng_;
+  Program program_;
+  Mesh mesh_{std::vector<MeshAxis>{}};
+  int64_t unit_ = 1;
+  std::vector<Value*> pool_;
+  std::vector<std::string> input_names_;
+  std::vector<Tactic> schedule_;
+};
+
+/**
+ * Partitions `program` and, unless Partition returns a typed error, checks:
+ * the reference and the optimized program agree bit-for-bit in every
+ * threading mode, both are within tolerance of the unpartitioned Evaluate,
+ * and the executable analyzes clean. Returns whether it partitioned.
+ */
+bool CheckPartitioned(Program& program, const std::vector<Tactic>& schedule,
+                      const Mesh& mesh, uint64_t seed,
+                      const std::string& label) {
+  SCOPED_TRACE(label + "\n" + program.Print());
+  StatusOr<Executable> exe = program.Partition(schedule, mesh);
+  if (!exe.ok()) return false;  // a typed error is an allowed answer
+
+  std::vector<Tensor> inputs = program.RandomInputs(seed);
+  std::vector<Tensor> want = program.Evaluate(inputs).value();
+  ExpectBackendsAgree(*exe, inputs, label);
+  for (ExecBackend backend :
+       {ExecBackend::kInterpret, ExecBackend::kCompiled}) {
+    RunOptions options;
+    options.backend = backend;
+    std::vector<Tensor> got = exe->Run(inputs, options).value();
+    EXPECT_EQ(got.size(), want.size()) << label;
+    for (size_t i = 0; i < got.size() && i < want.size(); ++i) {
+      float scale = 1.0f;
+      for (float x : want[i].data()) scale = std::max(scale, std::abs(x));
+      EXPECT_LE(Tensor::MaxAbsDiff(got[i], want[i]), 1e-4f * scale)
+          << label << " output " << i << " vs Evaluate";
+    }
+  }
+  analysis::AnalysisReport report = exe->Analyze();
+  EXPECT_TRUE(report.clean()) << label << ":\n" << report.ToString();
+  return true;
+}
+
+TEST(ExecBackendRandomTest, RandomProgramsAgreeWithReferenceAndEvaluate) {
+  constexpr int kCases = 200;
+  int partitioned = 0;
+  for (int i = 0; i < kCases; ++i) {
+    const uint64_t seed = 20261000 + i;
+    RandomProgramCase c(seed);
+    if (CheckPartitioned(c.program(), c.schedule(), c.mesh(), seed,
+                         "random program seed " + std::to_string(seed))) {
+      ++partitioned;
+    }
+    if (HasFailure()) break;  // one readable failing seed, not two hundred
+  }
+  // Most random schedules are valid; a generator that only ever produced
+  // rejected schedules would test nothing.
+  EXPECT_GE(partitioned, kCases / 2);
+}
+
+// Minimized from seed 20261062. x1 arrives tiled {a} on dim 0 and {b} on
+// dim 1, but the concatenation needs dim 0 tiled {b, a} (b outer). An
+// all_to_all can only move b *inside* a, so resharding must gather and
+// re-slice instead of claiming the {b, a} layout.
+TEST(ExecBackendRandomTest, ReshardKeepsAxisNestingOrder) {
+  Program program("concat");
+  Value* x0 = program.AddInput(TensorType({4, 8}), "x0");
+  Value* x1 = program.AddInput(TensorType({4, 8}), "x1");
+  program.Return({program.builder().Concatenate({x0, x1}, 1)});
+  EXPECT_TRUE(CheckPartitioned(
+      program,
+      {ManualPartition{"t1", {{"x0", 0}, {"x1", 1}}, "b"},
+       ManualPartition{"t2", {{"x1", 0}}, "a"}},
+      Mesh({{"a", 2}, {"b", 2}}), 3, "reshard nesting order"));
+}
+
+// Minimized from seed 20265007. The dot's partial sums over b must end up
+// tiled {a, b} on dim 0 to meet x1; a reduce_scatter over b followed by a
+// residual all_slice over a would tile it {b, a}, so that rewrite must not
+// fire.
+TEST(ExecBackendRandomTest, ReduceScatterKeepsAxisNestingOrder) {
+  Program program("scatter");
+  Value* x1 = program.AddInput(TensorType({4, 4}), "x1");
+  Value* x2 = program.AddInput(TensorType({4, 4}), "x2");
+  OpBuilder& builder = program.builder();
+  program.Return({builder.Add(builder.MatMul(x2, x1), x1)});
+  EXPECT_TRUE(CheckPartitioned(
+      program,
+      {ManualPartition{"t1", {{"x2", kReplicated}, {"x1", 0}}, "a"},
+       ManualPartition{"t2", {{"x1", kFirstDivisibleDim}}, "b"}},
+      Mesh({{"a", 2}, {"b", 2}}), 3, "reduce_scatter nesting order"));
 }
 
 }  // namespace

@@ -80,13 +80,14 @@ std::vector<Tensor> MixedRequest(const std::string& key, uint64_t seed) {
   return {x, w1, w2};
 }
 
-/** Unbatched sequential reference for one request of a class. */
+/** Unbatched sequential reference program for one request of a class. */
 std::vector<Tensor> MixedReference(const std::string& key,
                                    const std::vector<Tensor>& inputs) {
   Program unit = MixedFactory(key, 1).value();
   Executable exe = unit.Partition(MixedSchedule(), MixedMesh()).value();
   RunOptions sequential;
   sequential.num_threads = 1;
+  sequential.backend = ExecBackend::kInterpret;
   return exe.Run(inputs, sequential).value();
 }
 

@@ -1,8 +1,8 @@
-// Tests for the async multi-device SPMD runtime: replica-group planning,
+// Tests for the multi-device SPMD runtime: replica-group planning,
 // rendezvous collective semantics on 3-axis and asymmetric meshes, typed
-// Run errors, and bit-exact agreement between the sequential reference
-// walker and the threaded runtime (including capped thread counts and the
-// five example workloads).
+// Run errors, and bit-exact agreement between the sequential and the
+// threaded mode (including capped thread counts and the five example
+// workloads).
 #include <gtest/gtest.h>
 
 #include <cstring>
@@ -36,8 +36,8 @@ void ExpectBitIdentical(const std::vector<Tensor>& a,
   }
 }
 
-// Runs under the sequential walker, the full threaded runtime, and a
-// capped thread count; asserts all three are bit-identical and returns the
+// Runs in sequential mode, fully threaded, and with a capped thread
+// count; asserts all three are bit-identical and returns the
 // sequential outputs.
 std::vector<Tensor> RunAllModes(const Executable& exe,
                                 const std::vector<Tensor>& inputs,
@@ -293,6 +293,38 @@ TEST(SpmdRuntimeTest, UnshardableGlobalDimIsStatusNotAbort) {
   ASSERT_FALSE(result.ok());
   EXPECT_EQ(result.status().code(), StatusCode::kInvalidArgument);
   EXPECT_NE(result.status().message().find("divisible"), std::string::npos);
+}
+
+TEST(SpmdRuntimeTest, ReplicaMismatchInOutputIsStatusNotAbort) {
+  // The input is sharded on `a` and returned unchanged, but the output is
+  // declared replicated: the two devices hold different halves, which must
+  // surface as a typed error on both programs and in both modes.
+  Mesh mesh({{"a", 2}});
+  SpmdModule spmd;
+  spmd.module = std::make_unique<Module>();
+  spmd.mesh = mesh;
+  Func* func = spmd.module->AddFunc("main");
+  Value* x = func->body().AddArg(TensorType({2, 4}), "x");
+  OpBuilder builder(&func->body());
+  builder.Return({x});
+  spmd.input_shardings = {ValueSharding{AxesPerDim{{"a"}, {}}}};
+  spmd.output_shardings = {ValueSharding{AxesPerDim{{}, {}}}};
+
+  for (ExecBackend backend :
+       {ExecBackend::kInterpret, ExecBackend::kCompiled}) {
+    for (int num_threads : {1, 0}) {
+      RunOptions options;
+      options.backend = backend;
+      options.num_threads = num_threads;
+      StatusOr<std::vector<Tensor>> result =
+          RunSpmd(spmd, {Tensor::Random({4, 4}, 7)}, options);
+      ASSERT_FALSE(result.ok());
+      EXPECT_EQ(result.status().code(), StatusCode::kInternal);
+      EXPECT_NE(result.status().message().find("replica mismatch"),
+                std::string::npos)
+          << result.status().ToString();
+    }
+  }
 }
 
 // ---- The five example workloads, threaded == sequential bit-for-bit ----

@@ -231,7 +231,7 @@ TEST(SpmdInterpreterTest, ShardUnshardRoundTrip) {
   ValueSharding sharding{AxesPerDim{{"a"}, {"b"}}};
   PerDevice shards = ShardTensor(global, sharding, mesh);
   EXPECT_EQ(shards[0].dims(), (std::vector<int64_t>{4, 2}));
-  Tensor back = UnshardTensor(shards, sharding, mesh);
+  Tensor back = UnshardTensor(shards, sharding, mesh).value();
   EXPECT_LT(Tensor::MaxAbsDiff(back, global), 1e-6f);
 }
 
@@ -241,7 +241,7 @@ TEST(SpmdInterpreterTest, DeepShardingTwoAxesOneDim) {
   ValueSharding sharding{AxesPerDim{{"a", "b"}, {}}};
   PerDevice shards = ShardTensor(global, sharding, mesh);
   EXPECT_EQ(shards[0].dims(), (std::vector<int64_t>{2, 4}));
-  Tensor back = UnshardTensor(shards, sharding, mesh);
+  Tensor back = UnshardTensor(shards, sharding, mesh).value();
   EXPECT_LT(Tensor::MaxAbsDiff(back, global), 1e-6f);
 }
 
@@ -250,7 +250,12 @@ TEST(SpmdInterpreterTest, ReplicaMismatchIsDetected) {
   ValueSharding replicated{AxesPerDim{{}, {}}};
   PerDevice shards = {Tensor({2, 2}, {1, 2, 3, 4}),
                       Tensor({2, 2}, {9, 9, 9, 9})};
-  EXPECT_DEATH(UnshardTensor(shards, replicated, mesh), "replica mismatch");
+  StatusOr<Tensor> result = UnshardTensor(shards, replicated, mesh);
+  ASSERT_FALSE(result.ok());
+  EXPECT_EQ(result.status().code(), StatusCode::kInternal);
+  EXPECT_NE(result.status().message().find("replica mismatch"),
+            std::string::npos)
+      << result.status().ToString();
 }
 
 TEST(SpmdOptimizeTest, GatherOfSliceCancels) {
