@@ -291,16 +291,9 @@ void LintDeadValues(const Module& module, AnalysisReport& report) {
   }
 }
 
-/** Mesh axes a value is (provably) replicated along. */
-struct ReplState {
-  std::set<std::string> axes;
-};
-
 void LintRedundantCollectives(const Module& module, const Mesh& mesh,
                               AnalysisReport& report) {
-  std::set<std::string> all_axes;
-  for (const auto& axis : mesh.axes()) all_axes.insert(axis.name);
-
+  if (mesh.num_axes() > 64) return;  // past the axis bitmask's width
   auto axes_of = [](const Operation& op) -> std::vector<std::string> {
     StatusOr<std::vector<std::string>> axes = CollectiveGroupAxes(op);
     return axes.ok() ? std::move(axes).value() : std::vector<std::string>{};
@@ -308,52 +301,16 @@ void LintRedundantCollectives(const Module& module, const Mesh& mesh,
 
   for (const auto& func : module.funcs()) {
     if (func->body().num_ops() == 0) continue;
-    auto states = RunForwardDataflow<ReplState>(
+    // Per value, the bitmask of mesh axes it is provably replicated along.
+    auto states = RunForwardDataflow<uint64_t>(
         func->body(),
-        [](const Value&) { return ReplState{}; },  // args: assume sharded
-        [&](const Operation& op,
-            const std::vector<const ReplState*>& operands,
-            const std::map<const Value*, ReplState>&) {
-          ReplState state;
-          if (op.num_operands() == 0) {
-            // Constants / iota: every device materializes the same value.
-            state.axes = all_axes;
-          } else {
-            switch (op.kind()) {
-              case OpKind::kAllReduce:
-              case OpKind::kAllGather:
-                state = *operands[0];
-                for (const std::string& axis : axes_of(op)) {
-                  state.axes.insert(axis);
-                }
-                break;
-              case OpKind::kAllSlice:
-              case OpKind::kReduceScatter:
-              case OpKind::kAllToAll:
-                state = *operands[0];
-                for (const std::string& axis : axes_of(op)) {
-                  state.axes.erase(axis);
-                }
-                break;
-              case OpKind::kLoop:
-              case OpKind::kPSlice:
-                break;  // device-dependent: bottom
-              default: {
-                // Deterministic f(replicated...) stays replicated on the
-                // axes every operand shares.
-                state = *operands[0];
-                for (size_t j = 1; j < operands.size(); ++j) {
-                  std::set<std::string> meet;
-                  for (const std::string& axis : operands[j]->axes) {
-                    if (state.axes.count(axis)) meet.insert(axis);
-                  }
-                  state.axes = std::move(meet);
-                }
-                break;
-              }
-            }
-          }
-          return std::vector<ReplState>(op.num_results(), state);
+        [](const Value&) { return uint64_t{0}; },  // args: assume sharded
+        [&](const Operation& op, const std::vector<const uint64_t*>& operands,
+            const std::map<const Value*, uint64_t>&) {
+          std::vector<uint64_t> operand_axes;
+          for (const uint64_t* axes : operands) operand_axes.push_back(*axes);
+          return std::vector<uint64_t>(
+              op.num_results(), ReplicatedResultAxes(op, operand_axes, mesh));
         });
 
     for (const auto& op : func->body().ops()) {
@@ -389,11 +346,10 @@ void LintRedundantCollectives(const Module& module, const Mesh& mesh,
                      "optimize-spmd)"));
         }
       }
-      bool replicated = true;
-      for (const std::string& axis : axes) {
-        if (!it->second.axes.count(axis)) replicated = false;
-      }
-      if (!replicated) continue;
+      bool known = true;
+      for (const std::string& axis : axes) known = known && mesh.HasAxis(axis);
+      const uint64_t mask = AxisMask(mesh, axes);
+      if (!known || (it->second & mask) != mask) continue;
       if (op->kind() == OpKind::kAllReduce) {
         report
             .Warning(kRedundant, Loc(*op),

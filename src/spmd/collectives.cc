@@ -262,6 +262,43 @@ StatusOr<std::vector<std::string>> CollectiveGroupAxes(const Operation& op) {
   }
 }
 
+uint64_t AxisMask(const Mesh& mesh, const std::vector<std::string>& axes) {
+  uint64_t mask = 0;
+  for (const std::string& axis : axes) {
+    for (int i = 0; i < mesh.num_axes() && i < 64; ++i) {
+      if (mesh.axes()[i].name == axis) mask |= uint64_t{1} << i;
+    }
+  }
+  return mask;
+}
+
+uint64_t ReplicatedResultAxes(const Operation& op,
+                              const std::vector<uint64_t>& operands,
+                              const Mesh& mesh) {
+  if (operands.empty()) return ~uint64_t{0};
+  auto group_mask = [&op, &mesh]() {
+    StatusOr<std::vector<std::string>> axes = CollectiveGroupAxes(op);
+    return axes.ok() ? AxisMask(mesh, axes.value()) : uint64_t{0};
+  };
+  switch (op.kind()) {
+    case OpKind::kAllReduce:
+    case OpKind::kAllGather:
+      return operands[0] | group_mask();
+    case OpKind::kAllSlice:
+    case OpKind::kReduceScatter:
+    case OpKind::kAllToAll:
+      return operands[0] & ~group_mask();
+    case OpKind::kLoop:
+    case OpKind::kPSlice:
+      return 0;
+    default: {
+      uint64_t meet = operands[0];
+      for (uint64_t axes : operands) meet &= axes;
+      return meet;
+    }
+  }
+}
+
 Tensor CombineReduce(bool is_max, const Tensor& a, const Tensor& b) {
   return Tensor::Combine(a, b, [is_max](float x, float y) {
     return is_max ? std::max(x, y) : x + y;

@@ -126,6 +126,24 @@ bool AllToAllLayout(AxesPerDim& layout, const std::string& axis,
 StatusOr<std::vector<std::string>> CollectiveGroupAxes(const Operation& op);
 
 /**
+ * Replication transfer function over axis bitmasks (bit i = mesh axis i;
+ * axes past the 64th count as never replicated): the mesh axes along which
+ * `op`'s results are provably identical on every device, given the axes
+ * each operand is replicated along. Zero-operand ops (constants, iota) are
+ * replicated along every axis (all bits set); all_gather and all_reduce add their group
+ * axes, all_slice, reduce_scatter and all_to_all drop them; loops and
+ * pslice are device-dependent (no axes); every other op is a deterministic
+ * function and keeps the axes all its operands share. Safe on malformed
+ * collectives (their axes count as none).
+ */
+uint64_t ReplicatedResultAxes(const Operation& op,
+                              const std::vector<uint64_t>& operands,
+                              const Mesh& mesh);
+
+/** The bitmask of the mesh axes among `axes` (unknown names ignored). */
+uint64_t AxisMask(const Mesh& mesh, const std::vector<std::string>& axes);
+
+/**
  * Builds the plan for every collective in `module` over `mesh`. Replica
  * groups are shared between ops with the same group axes.
  */

@@ -51,10 +51,11 @@ bool AxesDisjoint(const std::vector<std::string>& a,
 class Worklist {
  public:
   Worklist(SpmdModule& spmd, unsigned rewrites)
-      : body_(spmd.mutable_main()->body()), enabled_(rewrites) {
-    const Mesh& mesh = spmd.mesh;
+      : body_(spmd.mutable_main()->body()),
+        mesh_(spmd.mesh),
+        enabled_(rewrites) {
     builder_.SetAxisSizeFn(
-        [&mesh](const std::string& axis) { return mesh.AxisSize(axis); });
+        [this](const std::string& axis) { return mesh_.AxisSize(axis); });
   }
 
   int64_t Run() {
@@ -72,11 +73,11 @@ class Worklist {
       visited_.insert(op);
       // On a rewrite the replacement ops now sit at the cursor.
       if (!Visit(op, cursor_)) ++cursor_;
-      while (!worklist_.empty()) {
-        Operation* again = worklist_.back();
-        worklist_.pop_back();
-        if (dead_.count(again) == 0) Visit(again, PositionOf(again));
-      }
+      Drain();
+    }
+    if (Enabled(kRewriteGatherSlice)) {
+      LocalizeReplicatedGathers();
+      Drain();
     }
     if (!dead_.empty()) {
       body_.EraseIf(
@@ -87,6 +88,70 @@ class Worklist {
 
  private:
   bool Enabled(unsigned mask) const { return (enabled_ & mask) != 0; }
+
+  void Drain() {
+    while (!worklist_.empty()) {
+      Operation* again = worklist_.back();
+      worklist_.pop_back();
+      if (dead_.count(again) == 0) Visit(again, PositionOf(again));
+    }
+  }
+
+  // An all_gather of a value already identical along every gather axis
+  // concatenates equal copies, so a local concatenation replaces the
+  // collective. Propagation produces these when it tiles a broadcast dim of
+  // a replicated value that another use needs whole. One forward sweep
+  // after the worklist, with the lint's replication rules (block args
+  // count as replicated along no axis).
+  void LocalizeReplicatedGathers() {
+    if (mesh_.num_axes() > 64 ||  // past the axis bitmask's width
+        std::none_of(body_.ops().begin(), body_.ops().end(),
+                     [](const std::unique_ptr<Operation>& op) {
+                       return op->kind() == OpKind::kAllGather;
+                     })) {
+      return;
+    }
+    std::unordered_map<const Value*, uint64_t> replicated;
+    std::vector<uint64_t> operands;
+    for (int pos = 0; pos < body_.num_ops(); ++pos) {
+      Operation* op = body_.ops()[pos].get();
+      if (dead_.count(op) != 0) continue;
+      operands.clear();
+      for (const Value* operand : op->operands()) {
+        auto it = replicated.find(operand);
+        operands.push_back(it == replicated.end() ? 0 : it->second);
+      }
+      const uint64_t axes = ReplicatedResultAxes(*op, operands, mesh_);
+      for (int r = 0; r < op->num_results(); ++r) {
+        replicated[op->result(r)] = axes;
+      }
+      if (op->kind() != OpKind::kAllGather) continue;
+      const auto& gather_axes = op->attrs().Get<AxesPerDim>("axes_per_dim");
+      const uint64_t mask = AxisMask(mesh_, FlattenAxesPerDim(gather_axes));
+      if ((operands[0] & mask) != mask) continue;
+      builder_.SetInsertionPoint(&body_, pos);
+      int before = body_.num_ops();
+      Value* local = op->operand(0);
+      for (size_t dim = 0; dim < gather_axes.size(); ++dim) {
+        int64_t copies = 1;
+        for (const std::string& axis : gather_axes[dim]) {
+          copies *= mesh_.AxisSize(axis);
+        }
+        if (copies == 1) continue;
+        local = builder_.Concatenate(std::vector<Value*>(copies, local),
+                                     static_cast<int64_t>(dim));
+        replicated[local] = axes;
+      }
+      const int inserted = body_.num_ops() - before;
+      for (int i = pos; i < pos + inserted; ++i) {
+        AddUses(*body_.ops()[i]);
+      }
+      pos += inserted;
+      cursor_ += inserted;  // keeps PositionOf's range the whole block
+      ++rewrites_;
+      ReplaceAllUses(op->result(), local);
+    }
+  }
 
   int64_t Uses(const Value* value) const {
     auto it = users_.find(value);
@@ -539,6 +604,7 @@ class Worklist {
   }
 
   Block& body_;
+  const Mesh& mesh_;
   unsigned enabled_;
   OpBuilder builder_{nullptr};
   // Users of each value, one entry per operand slot.

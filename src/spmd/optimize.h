@@ -8,6 +8,8 @@
  *   - all_slice of splat constants / iota               -> local constants
  *   - no-op collectives (empty axes), identity transposes -> removed
  *   - identical all_slice CSE
+ *   - all_gather of a value already replicated along the gather axes
+ *     -> local concatenation of copies (the lint's replication rules)
  *
  * Reduce-scatter formation (kRewriteReduceScatter, + the multi-axis
  * partial-residual case under kRewriteReduceScatterPartial):

@@ -455,6 +455,7 @@ TEST(ExecBackendTest, TwoExecutablesDriveIndependentPools) {
   std::vector<Tensor> inputs_b = program_b.RandomInputs(63);
   RunOptions sequential;
   sequential.num_threads = 1;
+  sequential.backend = ExecBackend::kInterpret;
   std::vector<Tensor> want_a = a.Run(inputs_a, sequential).value();
   std::vector<Tensor> want_b = b.Run(inputs_b, sequential).value();
   // Warm both pools, then interleave: neither executable's Runs may spawn.
@@ -482,6 +483,7 @@ TEST(ExecBackendTest, RespecializeWhilePoolIsLive) {
       first.Respecialize({ManualPartition{"MP", {{"w1", 1}}, "M"}}).value();
   RunOptions sequential;
   sequential.num_threads = 1;
+  sequential.backend = ExecBackend::kInterpret;
   ExpectBitIdentical(second.Run(inputs).value(),
                      second.Run(inputs, sequential).value(),
                      "respecialized while pool live");
@@ -546,6 +548,7 @@ TEST(ExecBackendTest, BatcherServesCompiledBackendBitIdentically) {
       harness.unit().Partition(workload.schedule, workload.mesh).value();
   RunOptions sequential;
   sequential.num_threads = 1;
+  sequential.backend = ExecBackend::kInterpret;
 
   Program program = Program::Capture(workload.build, 1);
   BatchOptions options;
@@ -861,6 +864,28 @@ TEST(ExecBackendRandomTest, ReduceScatterKeepsAxisNestingOrder) {
       {ManualPartition{"t1", {{"x2", kReplicated}, {"x1", 0}}, "a"},
        ManualPartition{"t2", {{"x1", kFirstDivisibleDim}}, "b"}},
       Mesh({{"a", 2}, {"b", 2}}), 3, "reduce_scatter nesting order"));
+}
+
+// Minimized from seed 20263633. max(x) is replicated after its all_reduce;
+// the dot tiles its broadcast along the contracting dim, and the reshape
+// needs the broadcast whole. Gathering identical tiles is a redundant
+// collective: OptimizeSpmd must turn it into a local concatenation.
+TEST(ExecBackendRandomTest, GatherOfReplicatedValueBecomesLocal) {
+  Program program("bcast");
+  Value* x = program.AddInput(TensorType({4, 4}), "x");
+  Value* y = program.AddInput(TensorType({4, 4}), "y");
+  OpBuilder& builder = program.builder();
+  Value* tiled = builder.BroadcastInDim(builder.Reduce(x, {0}, "max"),
+                                        {4, 4}, {0});
+  program.Return(
+      {builder.MatMul(tiled, y), builder.Reshape(tiled, {16})});
+  const std::vector<Tactic> schedule = {
+      ManualPartition{"t", {{"x", 0}, {"y", 0}}, "a"}};
+  const Mesh mesh({{"a", 2}});
+  EXPECT_TRUE(
+      CheckPartitioned(program, schedule, mesh, 3, "replicated gather"));
+  EXPECT_EQ(program.Partition(schedule, mesh).value().Collectives().all_gather,
+            0);
 }
 
 }  // namespace

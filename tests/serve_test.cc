@@ -276,6 +276,7 @@ TEST(ServeStressTest, RespecializeSwapsScheduleUnderLiveTraffic) {
     Executable exe = unit.Partition(over_b, MixedMesh()).value();
     RunOptions sequential;
     sequential.num_threads = 1;
+    sequential.backend = ExecBackend::kInterpret;
     want.push_back(exe.Run(inputs.back(), sequential).value());
   }
 
