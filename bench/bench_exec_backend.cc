@@ -7,7 +7,8 @@
 // optimized program (slot reuse, in-place updates, fused elementwise
 // chains, blocked dot). For each of the five serving workloads (captured
 // at batch 8, the serving bench's max_batch) and each thread count, this
-// times Executable::Run under both backends (best-of-repeats wall clock),
+// times Executable::Run under both backends (mean wall clock over a fixed
+// window with the sides alternated Run by Run),
 // counts fresh tensor allocations per Run (RunStats — exact even under
 // concurrency, unlike deltas of the process-wide counter), and reports the
 // memory planner's per-device peak arena bytes next to the
@@ -19,6 +20,7 @@
 // With --enforce-floor, exits non-zero unless the optimized program is at
 // least kSpeedupFloor x faster than the reference program on matmul_chain
 // sequentially — the CI regression gate for the optimizations.
+#include <algorithm>
 #include <chrono>
 #include <cstring>
 #include <thread>
@@ -47,26 +49,46 @@ double MsSince(Clock::time_point start) {
       .count();
 }
 
+// Each side of a comparison runs for at least this much wall clock. A
+// matmul_chain Run takes 0.1-0.4 ms, so a best-of-few sample is one lucky
+// or unlucky call; a window averages hundreds of them.
+constexpr double kWindowMs = 100;
+
 struct Sample {
-  double ms = 0;          // best-of-repeats wall clock
+  double ms = 0;            // mean Run wall clock over the window
   int64_t allocations = 0;  // fresh tensor buffers over one Run
 };
 
-Sample Measure(const Executable& exe, const std::vector<Tensor>& inputs,
-               const RunOptions& options, int repeats) {
-  Sample sample;
-  RunStats stats;
-  RunOptions run_options = options;
-  run_options.stats = &stats;
-  for (int i = 0; i < repeats; ++i) {
-    auto start = Clock::now();
-    StatusOr<std::vector<Tensor>> out = exe.Run(inputs, run_options);
-    double ms = MsSince(start);
-    if (!out.ok()) PARTIR_FATAL() << out.status().ToString();
-    if (i == 0 || ms < sample.ms) sample.ms = ms;
-    sample.allocations = stats.allocations;
+// Times every option set in `sides` over a kWindowMs window. The sides
+// alternate Run by Run until each has spent the window, so a background
+// hiccup lands on all of them alike instead of on one side's samples.
+std::vector<Sample> MeasureAlternating(const Executable& exe,
+                                       const std::vector<Tensor>& inputs,
+                                       const std::vector<RunOptions>& sides) {
+  std::vector<Sample> samples(sides.size());
+  std::vector<RunStats> stats(sides.size());
+  std::vector<double> total_ms(sides.size(), 0);
+  int64_t runs = 0;
+  auto window_done = [&] {
+    return std::all_of(total_ms.begin(), total_ms.end(),
+                       [](double ms) { return ms >= kWindowMs; });
+  };
+  while (!window_done()) {
+    for (size_t s = 0; s < sides.size(); ++s) {
+      RunOptions options = sides[s];
+      options.stats = &stats[s];
+      auto start = Clock::now();
+      StatusOr<std::vector<Tensor>> out = exe.Run(inputs, options);
+      total_ms[s] += MsSince(start);
+      if (!out.ok()) PARTIR_FATAL() << out.status().ToString();
+    }
+    ++runs;
   }
-  return sample;
+  for (size_t s = 0; s < sides.size(); ++s) {
+    samples[s].ms = total_ms[s] / static_cast<double>(runs);
+    samples[s].allocations = stats[s].allocations;
+  }
+  return samples;
 }
 
 Executable PartitionOrFallback(Program& program, const ServeWorkload& w) {
@@ -122,11 +144,20 @@ int main(int argc, char** argv) {
       compiled.num_threads = threads;
       RunOptions interpret = compiled;
       interpret.backend = ExecBackend::kInterpret;
-      // Warm both paths (first compiled Run sizes the arenas).
-      Measure(exe, inputs, interpret, 1);
-      Measure(exe, inputs, compiled, 1);
-      Sample i_sample = Measure(exe, inputs, interpret, /*repeats=*/5);
-      Sample c_sample = Measure(exe, inputs, compiled, /*repeats=*/5);
+      // Pool off (threaded rows): every Run spawns one thread per device,
+      // the pre-pool behavior, timed in the same window so the pool's
+      // contribution is its own column.
+      RunOptions spawn = compiled;
+      spawn.use_pool = false;
+      std::vector<RunOptions> sides = {interpret, compiled};
+      if (threads != 1) sides.push_back(spawn);
+      // Warm every side (the first compiled Run sizes the arenas).
+      for (const RunOptions& side : sides) {
+        if (!exe.Run(inputs, side).ok()) PARTIR_FATAL() << "warm-up Run";
+      }
+      std::vector<Sample> samples = MeasureAlternating(exe, inputs, sides);
+      const Sample& i_sample = samples[0];
+      const Sample& c_sample = samples[1];
       double speedup = i_sample.ms / c_sample.ms;
       if (workload.name == "matmul_chain" && threads == 1) {
         chain_sequential_speedup = speedup;
@@ -141,15 +172,8 @@ int main(int argc, char** argv) {
       json.Key("interpret_allocations").Value(i_sample.allocations);
       json.Key("compiled_allocations").Value(c_sample.allocations);
       if (threads != 1) {
-        // Pool off: every Run spawns one thread per device, the pre-pool
-        // behavior. The pooled row above is the same backend reusing the
-        // executable's resident workers.
-        RunOptions spawn = compiled;
-        spawn.use_pool = false;
-        Measure(exe, inputs, spawn, 1);
-        Sample s_sample = Measure(exe, inputs, spawn, /*repeats=*/5);
-        json.Key("compiled_spawn_ms").Value(s_sample.ms);
-        json.Key("pool_speedup").Value(s_sample.ms / c_sample.ms);
+        json.Key("compiled_spawn_ms").Value(samples[2].ms);
+        json.Key("pool_speedup").Value(samples[2].ms / c_sample.ms);
       }
       json.EndObject();
     }

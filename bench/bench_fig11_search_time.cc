@@ -3,6 +3,10 @@
 // grows with the number of axes (decision space), and stays in an amortized
 // acceptable range relative to training times.
 #include "bench/bench_util.h"
+#include "src/autopart/mcts.h"
+#include "src/sim/cost_model.h"
+#include "src/spmd/lowering.h"
+#include "src/spmd/optimize.h"
 
 namespace partir {
 namespace {
@@ -11,20 +15,25 @@ using bench::Fmt;
 using bench::PrintHeader;
 using bench::PrintRow;
 
+// Runs the search the AutomaticPartition tactic runs (same options, same
+// boundary realization), so the row can show how many of the rewards the
+// search consumed were distinct states it actually lowered and simulated.
+// "found ms/step" is the estimate of the program the pipeline would ship.
 void RunSearch(const std::string& model, Program& step,
-               std::vector<std::string> axes, int simulations) {
-  Mesh mesh({{"batch", 8}, {"model", 4}});
-  AutomaticPartition tactic;
-  tactic.name = "auto";
-  tactic.axes = std::move(axes);
-  tactic.options.simulations = simulations;
-  tactic.options.max_actions = 4;
-  Executable exe = bench::Run(step, mesh, {tactic});
-  const TacticReport& report = exe.tactics()[0];
-  PrintRow({model, StrCat(tactic.axes.size()), StrCat(simulations),
-            StrCat(report.evaluations),
-            Fmt(report.search_seconds, "%.2f s"),
-            Fmt(exe.Estimate().step_seconds * 1e3, "%.3f ms")});
+               const std::vector<std::string>& axes, int simulations) {
+  PartitionContext ctx(step.func(), Mesh({{"batch", 8}, {"model", 4}}));
+  ctx.set_boundary_realization(PartitionOptions().boundary_realization);
+  AutoOptions options;
+  options.simulations = simulations;
+  options.max_actions = 4;
+  AutoResult found = AutomaticallyPartition(ctx, axes, options);
+  SpmdModule spmd = LowerToSpmd(ctx);
+  OptimizeSpmd(spmd);
+  SimEstimate estimate = EstimateSpmd(spmd, options.device);
+  PrintRow({model, StrCat(axes.size()), StrCat(simulations),
+            StrCat(found.evaluations), StrCat(found.distinct_states),
+            Fmt(found.search_seconds, "%.2f s"),
+            Fmt(estimate.step_seconds * 1e3, "%.3f ms")});
 }
 
 }  // namespace
@@ -34,7 +43,8 @@ int main() {
   using namespace partir;
   using namespace partir::bench;
   PrintHeader("Figure 11: AutomaticPartition search time");
-  PrintRow({"model", "#axes", "sims", "evals", "search", "found ms/step"});
+  PrintRow({"model", "#axes", "sims", "evals", "distinct", "search",
+            "found ms/step"});
   const int kSims = 48;
   {
     GnsConfig config = GnsConfig::Bench();

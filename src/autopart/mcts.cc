@@ -38,6 +38,10 @@ struct SearchShared {
   AutoOptions options;
   double ideal_seconds = 1e-9;
   int evaluations = 0;
+  // Reward per distinct partitioning state (PartitionContext::StateKey):
+  // many action paths reach one state, and lowering + simulating it is
+  // most of a reward's cost. Freed with the search.
+  std::map<std::vector<int32_t>, double> rewards = {};
 };
 
 // Enumerates actions applicable to a context copy (tile any function input
@@ -95,6 +99,9 @@ bool Apply(PartitionContext& ctx, const AutoAction& action) {
 // step time to the estimated one, with a harsh penalty for exceeding HBM.
 double Evaluate(SearchShared& shared, const PartitionContext& ctx) {
   ++shared.evaluations;
+  std::vector<int32_t> key = ctx.StateKey();
+  auto memo = shared.rewards.find(key);
+  if (memo != shared.rewards.end()) return memo->second;
   SpmdModule spmd = LowerToSpmd(ctx);
   OptimizeSpmd(spmd);
   SimEstimate estimate = EstimateSpmd(spmd, shared.options.device);
@@ -104,6 +111,7 @@ double Evaluate(SearchShared& shared, const PartitionContext& ctx) {
   if (estimate.peak_memory_bytes > shared.options.device.hbm_bytes) {
     reward *= 0.05;  // does not fit: strongly discouraged
   }
+  shared.rewards.emplace(std::move(key), reward);
   return reward;
 }
 
@@ -277,6 +285,7 @@ AutoResult AutomaticallyPartition(PartitionContext& ctx,
     }
   }
   result.evaluations = shared.evaluations;
+  result.distinct_states = static_cast<int>(shared.rewards.size());
   result.search_seconds =
       std::chrono::duration<double>(std::chrono::steady_clock::now() - start)
           .count();

@@ -6,6 +6,8 @@
  * [Alabed et al. 2022, Schaarschmidt et al. 2021]). The search proposes
  * tile<value, dim, axis> actions on function inputs, propagates after each,
  * and seeks minimal estimated step time subject to fitting in device memory.
+ * Rewards are memoized per partitioning state (PartitionContext::StateKey):
+ * a state reached along several action paths is lowered and simulated once.
  */
 #ifndef PARTIR_AUTOPART_MCTS_H_
 #define PARTIR_AUTOPART_MCTS_H_
@@ -41,7 +43,8 @@ struct AutoOptions {
 struct AutoResult {
   std::vector<AutoAction> actions;
   double search_seconds = 0;
-  int evaluations = 0;
+  int evaluations = 0;      // rewards the search consumed
+  int distinct_states = 0;  // of those, states lowered and simulated
 };
 
 /**

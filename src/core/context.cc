@@ -1,6 +1,8 @@
 #include "src/core/context.h"
 
 #include <algorithm>
+#include <functional>
+#include <unordered_map>
 
 #include "src/sim/cost_model.h"
 #include "src/support/str_util.h"
@@ -142,6 +144,73 @@ Value* PartitionContext::FindValue(const std::string& name) const {
   return found;
 }
 
+std::vector<int32_t> PartitionContext::StateKey() const {
+  // Records are [tag, id, payload...] with counted payloads, so the stream
+  // parses one way only and two keys are equal iff the states are.
+  enum : int32_t { kTiles, kAtomic, kNest, kRealization };
+  std::vector<int32_t> key = {boundary_realization_ ? 1 : 0};
+  auto axis_id = [&](const std::string& axis) {
+    return static_cast<int32_t>(mesh_.AxisIndex(axis));
+  };
+  int32_t next_value = 0;
+  int32_t next_op = 0;
+  auto add_value = [&](const Value* value) {
+    const int32_t id = next_value++;
+    auto tiles = value_state_.find(value);
+    if (tiles != value_state_.end() && !tiles->second.tiles.empty()) {
+      key.insert(key.end(),
+                 {kTiles, id, static_cast<int32_t>(tiles->second.tiles.size())});
+      for (const ValueTile& tile : tiles->second.tiles) {
+        key.insert(key.end(), {axis_id(tile.axis),
+                               static_cast<int32_t>(tile.dim),
+                               tile.seeded ? 1 : 0});
+      }
+    }
+    auto atomic = atomic_.find(value);
+    if (atomic != atomic_.end() && !atomic->second.empty()) {
+      key.insert(key.end(),
+                 {kAtomic, id, static_cast<int32_t>(atomic->second.size())});
+      for (const std::string& axis : atomic->second) {
+        key.push_back(axis_id(axis));
+      }
+    }
+  };
+  auto add_op = [&](const Operation* op) {
+    const int32_t id = next_op++;
+    auto nest = op_nest_.find(op);
+    if (nest != op_nest_.end() && !nest->second.empty()) {
+      key.insert(key.end(),
+                 {kNest, id, static_cast<int32_t>(nest->second.size())});
+      for (const OpAxisEntry& entry : nest->second) {
+        key.insert(key.end(), {axis_id(entry.axis), entry.contracting ? 1 : 0,
+                               entry.factor});
+      }
+    }
+    for (auto it = realizations_.lower_bound({op, std::string()});
+         it != realizations_.end() && it->first.first == op; ++it) {
+      auto scatter = scatter_dims_.find(it->first);
+      key.insert(key.end(),
+                 {kRealization, id, axis_id(it->first.second),
+                  static_cast<int32_t>(it->second),
+                  scatter == scatter_dims_.end()
+                      ? -1
+                      : static_cast<int32_t>(scatter->second)});
+    }
+  };
+  std::function<void(const Block&)> add_block = [&](const Block& block) {
+    for (const auto& arg : block.args()) add_value(arg.get());
+    for (const auto& op : block.ops()) {
+      add_op(op.get());
+      for (int r = 0; r < op->num_results(); ++r) add_value(op->result(r));
+      for (int g = 0; g < op->num_regions(); ++g) {
+        add_block(op->region(g).block());
+      }
+    }
+  };
+  add_block(func_->body());
+  return key;
+}
+
 namespace {
 
 /** A candidate propagation step: tile op along `axis` via `factor`. */
@@ -152,21 +221,62 @@ struct Candidate {
 
 }  // namespace
 
-/** Runs the propagation fixpoint over a PartitionContext. */
+/**
+ * Runs the propagation fixpoint over a PartitionContext, change-driven:
+ * sweeps in program order that visit only dirty ops. VisitOp reads only
+ * op-local state (operand and result tiles, the op's nest, atomic sets, the
+ * per-(op, axis) realization memos) and conflict reports are deduplicated,
+ * so skipping an op whose local state did not change since its last
+ * fruitless visit applies and reports exactly what a full sweep would.
+ */
 class Propagator {
  public:
   explicit Propagator(PartitionContext& ctx) : ctx_(ctx) {}
 
   int Run() {
+    std::vector<Operation*> ops;
+    std::unordered_map<const Operation*, int> index;
+    WalkOps(ctx_.func_->body(), [&](Operation& op) {
+      index.emplace(&op, static_cast<int>(ops.size()));
+      ops.push_back(&op);
+    });
+    std::unordered_map<const Value*, std::vector<int>> users;
+    for (int i = 0; i < static_cast<int>(ops.size()); ++i) {
+      for (Value* operand : ops[i]->operands()) users[operand].push_back(i);
+    }
+    // A value's tiles changed: its defining op and its users may now apply.
+    std::vector<char> dirty(ops.size(), 1);
+    int num_dirty = static_cast<int>(ops.size());
+    auto mark = [&](int i) {
+      if (!dirty[i]) {
+        dirty[i] = 1;
+        ++num_dirty;
+      }
+    };
+    auto mark_value = [&](const Value* value) {
+      if (value->def() != nullptr) {
+        auto def = index.find(value->def());
+        if (def != index.end()) mark(def->second);
+      }
+      auto it = users.find(value);
+      if (it == users.end()) return;
+      for (int user : it->second) mark(user);
+    };
+
     int total_applied = 0;
-    bool changed = true;
-    while (changed) {
-      changed = false;
-      WalkOps(ctx_.func_->body(), [&](Operation& op) {
+    while (num_dirty > 0) {
+      for (int i = 0; i < static_cast<int>(ops.size()); ++i) {
+        if (!dirty[i]) continue;
+        dirty[i] = 0;
+        --num_dirty;
+        Operation& op = *ops[i];
         int applied = VisitOp(op);
-        if (applied > 0) changed = true;
+        if (applied == 0) continue;
         total_applied += applied;
-      });
+        mark(i);
+        for (Value* operand : op.operands()) mark_value(operand);
+        for (int r = 0; r < op.num_results(); ++r) mark_value(op.result(r));
+      }
     }
     return total_applied;
   }

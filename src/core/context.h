@@ -20,6 +20,7 @@
 #ifndef PARTIR_CORE_CONTEXT_H_
 #define PARTIR_CORE_CONTEXT_H_
 
+#include <cstdint>
 #include <map>
 #include <set>
 #include <string>
@@ -142,6 +143,9 @@ class PartitionContext {
    * Propagation pass (Section 5.2.2): greedily extends tiling decisions
    * through the TMR until fixpoint. Conflicts (Section 5.2.3) are recorded,
    * never auto-resolved. Returns the number of op-nest entries applied.
+   * Change-driven: sweeps in program order visit only ops whose operand or
+   * result tiles or nest changed since their last visit (every op on the
+   * first sweep), which applies and reports exactly what full sweeps would.
    */
   int Propagate();
 
@@ -207,6 +211,17 @@ class PartitionContext {
 
   const std::vector<Conflict>& conflicts() const { return conflicts_; }
   void ClearConflicts() { conflicts_.clear(); }
+
+  /**
+   * An exact, canonical encoding of everything SPMD lowering and the
+   * simulator read from this context: value tiles (with `seeded`), op nests,
+   * atomic sets, realization decisions with their scatter dims, and the
+   * boundary_realization flag. Values, ops and axes are numbered by program
+   * and mesh order, so copies of one context key equal, and an empty state
+   * entry keys the same as an absent one. Conflicts are not part of it. The
+   * MCTS memoizes rewards on it; compare keys in full.
+   */
+  std::vector<int32_t> StateKey() const;
 
   /** Local size of `dim` of `dims` after dividing by existing tiles. */
   int64_t LocalDimSize(const std::vector<int64_t>& dims,

@@ -7,6 +7,18 @@
 #include "src/spmd/optimize.h"
 
 namespace partir {
+namespace {
+
+// In incremental mode the last tactic's prefix is the final state, and with
+// the full rewrite set the last report would lower, optimize and estimate
+// exactly what lower-to-spmd + optimize-spmd ship: RunPartitionPipeline
+// copies the final numbers into it instead of lowering that state twice.
+bool LastReportIsFinal(const PartitionOptions& options,
+                       const PipelineVariant& variant) {
+  return options.incremental && variant.form_reduce_scatter;
+}
+
+}  // namespace
 
 void BuildPartitionPipeline(PassManager& manager,
                             const std::vector<Tactic>& schedule,
@@ -32,7 +44,9 @@ void BuildPartitionPipeline(PassManager& manager,
       manager.AddPass(std::make_unique<PropagatePass>(i),
                       StageTag::Tactic(i, /*boundary=*/true));
     }
-    if (options.per_tactic_reports) {
+    const bool last = i + 1 == static_cast<int>(schedule.size());
+    if (options.per_tactic_reports &&
+        !(last && LastReportIsFinal(options, variant))) {
       manager.AddPass(std::make_unique<TacticReportPass>(i));
     }
   }
@@ -77,6 +91,11 @@ StatusOr<PartitionResult> RunPartitionPipeline(
       CountCollectives(*result.spmd.module, result.spmd.mesh);
   result.estimate = EstimateSpmd(result.spmd, options.device);
   result.conflicts = ctx.conflicts();
+  if (options.per_tactic_reports && !result.tactics.empty() &&
+      LastReportIsFinal(options, variant)) {
+    result.tactics.back().collectives = result.collectives;
+    result.tactics.back().estimate = result.estimate;
+  }
   // The manager overwrote result.pipeline with its own stats at the end of
   // Run, so the analysis counts are folded in here, not by the pass.
   result.pipeline.analysis_checkers =

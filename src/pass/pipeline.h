@@ -35,7 +35,9 @@ struct PipelineVariant {
  *
  *   per tactic i:  tactic[i]        (manual actions or automatic search)
  *                  propagate        (incremental mode, manual tactics)
- *                  report[i]        (per_tactic_reports)
+ *                  report[i]        (per_tactic_reports; in incremental
+ *                                    mode with the full rewrite set the
+ *                                    last report copies the final numbers)
  *   then:          propagate        (PartIR-st: single deferred propagation)
  *                  materialize-loops (capture_stages: final loop form)
  *                  lower-to-spmd

@@ -4,6 +4,7 @@
 #include <gtest/gtest.h>
 
 #include "src/api/partir.h"
+#include "src/pass/pipeline.h"
 #include "src/autopart/mcts.h"
 #include "src/baseline/gspmd.h"
 #include "src/ir/builder.h"
@@ -11,6 +12,10 @@
 #include "src/models/transformer.h"
 #include "src/schedule/schedule.h"
 #include "src/sim/cost_model.h"
+#include "src/spmd/collectives.h"
+#include "src/spmd/lowering.h"
+#include "src/spmd/optimize.h"
+#include "tests/fig8_programs.h"
 
 namespace partir {
 namespace {
@@ -227,6 +232,50 @@ TEST(AutoPartTest, DiscoversBatchParallelismOnChain) {
   EXPECT_GT(result.evaluations, 0);
 }
 
+TEST(AutoPartTest, SearchMatchesPinsAndLowersEachStateOnce) {
+  // T32/2L over {batch, model}, seeds 1-4: the chosen actions and the
+  // shipped program pinned from the search that lowered every reward. The
+  // reward memo keeps the rewards consumed (evaluations) and lowers only
+  // the distinct states among them.
+  struct SearchPin {
+    uint64_t seed;
+    AutoAction action;
+  };
+  const std::vector<SearchPin> pins = {{1, {57, 0, "batch"}},
+                                       {2, {57, 0, "batch"}},
+                                       {3, {58, 0, "batch"}},
+                                       {4, {57, 0, "batch"}}};
+  TransformerConfig config = TransformerConfig::T32Scaled();
+  config.num_layers = 2;
+  for (const SearchPin& pin : pins) {
+    SCOPED_TRACE(StrCat("seed ", pin.seed));
+    Module module;
+    PartitionContext ctx(BuildTransformerTrainingStep(module, config),
+                         Mesh({{"batch", 4}, {"model", 2}}));
+    ctx.set_boundary_realization(true);
+    AutoOptions options;
+    options.simulations = 24;
+    options.max_actions = 4;
+    options.seed = pin.seed;
+    AutoResult found =
+        AutomaticallyPartition(ctx, {"batch", "model"}, options);
+    ASSERT_EQ(found.actions.size(), 1u);
+    EXPECT_EQ(found.actions[0].arg_index, pin.action.arg_index);
+    EXPECT_EQ(found.actions[0].dim, pin.action.dim);
+    EXPECT_EQ(found.actions[0].axis, pin.action.axis);
+    EXPECT_EQ(found.evaluations, 49);
+    EXPECT_GT(found.distinct_states, 0);
+    EXPECT_LT(found.distinct_states, found.evaluations);
+
+    SpmdModule spmd = LowerToSpmd(ctx);
+    OptimizeSpmd(spmd);
+    EXPECT_EQ(CountCollectives(*spmd.module, spmd.mesh).ToString(),
+              "AG=0 AR=20 RS=0 A2A=0");
+    EXPECT_NEAR(EstimateSpmd(spmd, options.device).step_seconds,
+                0.00080817509088076456, 1e-9 * 0.00080817509088076456);
+  }
+}
+
 TEST(AutoPartTest, RespectsMemoryLimit) {
   // With a tiny HBM limit, the unsharded program is penalized and the
   // search must shard something.
@@ -287,6 +336,127 @@ TEST(BaselineTest, GspmdMatchesPartirOnConflictFreeSchedule) {
       CountCollectives(*gspmd.spmd.module, gspmd.spmd.mesh);
   EXPECT_EQ(partir.collectives.all_reduce, gspmd_stats.all_reduce);
   EXPECT_EQ(partir.collectives.all_gather, gspmd_stats.all_gather);
+}
+
+// ---- Per-tactic report pins (the Fig. 8 programs) ----
+
+struct ReportPin {
+  const char* name;
+  int64_t ag, ar, rs, a2a;
+  double comm_bytes;
+  double step_seconds;
+};
+
+struct ReportCase {
+  const char* program;
+  bool incremental;
+  bool form_reduce_scatter;
+  std::vector<ReportPin> reports;
+};
+
+// Every report of every Fig. 8 program in both modes and both variants,
+// pinned from the pipeline that still lowered the last report separately.
+// In incremental mode with the full rewrite set the last report now copies
+// the final lowering; everywhere else it is its own pass.
+std::vector<ReportCase> ReportPins() {
+  return {
+      {"T32", true, true,
+       {{"BP", 0, 20, 0, 0, 10099719, 0.00058088651321815544},
+        {"MP", 0, 28, 0, 0, 7085063, 0.00036978283897327077},
+        {"Z3", 19, 19, 9, 0, 8920071, 0.00033164783452882372},
+        {"EMB", 47, 22, 17, 0, 10365959, 0.00036181014138272709}}},
+      {"T32", true, false,
+       {{"BP", 0, 20, 0, 0, 10099719, 0.00058088651321815544},
+        {"MP", 0, 28, 0, 0, 7085063, 0.00036978283897327077},
+        {"Z3", 19, 19, 9, 0, 8920071, 0.00033164783452882372},
+        {"EMB", 47, 22, 17, 0, 10365959, 0.00036181014138272709}}},
+      {"T32", false, true,
+       {{"BP", 4, 0, 0, 0, 5515776, 0.0021632959968563743},
+        {"MP", 74, 0, 0, 0, 18622976, 0.0022940639968563746},
+        {"Z3", 80, 0, 0, 0, 25963008, 0.0023208140768563746},
+        {"EMB", 80, 0, 0, 0, 26094080, 0.0023211417568563745}}},
+      {"T32", false, false,
+       {{"BP", 4, 0, 0, 0, 5515776, 0.0021632959968563743},
+        {"MP", 74, 0, 0, 0, 18622976, 0.0022940639968563746},
+        {"Z3", 80, 0, 0, 0, 25963008, 0.0023208140768563746},
+        {"EMB", 80, 0, 0, 0, 26094080, 0.0023211417568563745}}},
+      {"UNet", true, true,
+       {{"BP", 0, 172, 0, 0, 26628959, 0.0013555786233585901},
+        {"MP", 0, 266, 0, 0, 16365823, 0.0010317599357015195},
+        {"Z3", 245, 95, 171, 0, 23402111, 0.001046685429034854}}},
+      {"UNet", true, false,
+       {{"BP", 0, 172, 0, 0, 26628959, 0.0013555786233585901},
+        {"MP", 0, 266, 0, 0, 16365823, 0.0010317599357015195},
+        {"Z3", 245, 95, 171, 0, 23402111, 0.001046685429034854}}},
+      {"UNet", false, true,
+       {{"BP", 3, 0, 0, 0, 86016, 0.0031503452022763924},
+        {"MP", 253, 0, 0, 0, 35762176, 0.0035895356022763924},
+        {"Z3", 761, 0, 0, 0, 71083056, 0.0043890378022763913}}},
+      {"UNet", false, false,
+       {{"BP", 3, 0, 0, 0, 86016, 0.0031503452022763924},
+        {"MP", 253, 0, 0, 0, 35762176, 0.0035895356022763924},
+        {"Z3", 761, 0, 0, 0, 71083056, 0.0043890378022763913}}},
+      {"GNS", true, true,
+       {{"ES", 0, 322, 0, 0, 7055552, 0.00088812988000002671}}},
+      {"GNS", true, false,
+       {{"ES", 0, 322, 0, 0, 7055552, 0.00088812988000002671}}},
+      {"GNS", false, true,
+       {{"ES", 146, 0, 0, 0, 286720, 0.0010716449911111136}}},
+      {"GNS", false, false,
+       {{"ES", 146, 0, 0, 0, 286720, 0.0010716449911111136}}},
+      {"IT32", true, true,
+       {{"BP", 0, 0, 0, 0, 0, 0.00011593500444444459},
+        {"MP", 0, 36, 0, 0, 589824, 0.00012266481777777798}}},
+      {"IT32", true, false,
+       {{"BP", 0, 0, 0, 0, 0, 0.00011593500444444459},
+        {"MP", 0, 36, 0, 0, 589824, 0.00012266481777777798}}},
+      {"IT32", false, true,
+       {{"BP", 9, 0, 0, 0, 13440, 0.00052612614243902804},
+        {"MP", 135, 0, 0, 0, 23606400, 0.00076150854243902852}}},
+      {"IT32", false, false,
+       {{"BP", 9, 0, 0, 0, 13440, 0.00052612614243902804},
+        {"MP", 135, 0, 0, 0, 23606400, 0.00076150854243902852}}},
+  };
+}
+
+TEST(ScheduleTest, PerTacticReportsMatchPinsInEveryModeAndVariant) {
+  for (const Fig8Program& program : Fig8Programs()) {
+    for (const ReportCase& pin : ReportPins()) {
+      if (program.name != pin.program) continue;
+      SCOPED_TRACE(StrCat(program.name, " incremental=", pin.incremental,
+                          " form_reduce_scatter=", pin.form_reduce_scatter));
+      Module module;
+      PartitionContext ctx(program.build(module), Fig8Mesh());
+      PartitionOptions options;
+      options.incremental = pin.incremental;
+      PipelineVariant variant;
+      variant.form_reduce_scatter = pin.form_reduce_scatter;
+      PartitionResult result =
+          RunPartitionPipeline(ctx, program.schedule, options, variant)
+              .value();
+      ASSERT_EQ(result.tactics.size(), pin.reports.size());
+      for (size_t i = 0; i < pin.reports.size(); ++i) {
+        const ReportPin& want = pin.reports[i];
+        const TacticReport& got = result.tactics[i];
+        EXPECT_EQ(got.name, want.name);
+        EXPECT_EQ(got.collectives.all_gather, want.ag) << want.name;
+        EXPECT_EQ(got.collectives.all_reduce, want.ar) << want.name;
+        EXPECT_EQ(got.collectives.reduce_scatter, want.rs) << want.name;
+        EXPECT_EQ(got.collectives.all_to_all, want.a2a) << want.name;
+        EXPECT_DOUBLE_EQ(got.collectives.comm_bytes, want.comm_bytes)
+            << want.name;
+        EXPECT_NEAR(got.estimate.step_seconds, want.step_seconds,
+                    1e-9 * want.step_seconds)
+            << want.name;
+      }
+      // The last report is lowered on its own exactly when its state or
+      // rewrite set differs from what the pipeline ships.
+      const std::string last_report =
+          StrCat("report[", pin.reports.size() - 1, "]");
+      EXPECT_EQ(result.pipeline.Find(last_report) == nullptr,
+                pin.incremental && pin.form_reduce_scatter);
+    }
+  }
 }
 
 }  // namespace

@@ -5,6 +5,7 @@
 
 #include <cmath>
 
+#include "src/baseline/gspmd.h"
 #include "src/core/context.h"
 #include "src/core/factors.h"
 #include "src/ir/builder.h"
@@ -12,6 +13,9 @@
 #include "src/models/transformer.h"
 #include "src/schedule/schedule.h"
 #include "src/sim/cost_model.h"
+#include "src/spmd/collectives.h"
+#include "tests/fig8_programs.h"
+#include "tests/random_program.h"
 
 namespace partir {
 namespace {
@@ -609,6 +613,167 @@ TEST(PropagationTest, SeededContractOperandKeepsAllReduceRealization) {
   ctx.Propagate();
   ASSERT_EQ(ctx.nest(y->def()).size(), 1u);
   EXPECT_TRUE(ctx.nest(y->def())[0].contracting);
+}
+
+// ---- StateKey: the MCTS reward-memo key ----
+
+TEST(StateKeyTest, CopiesKeyEqualAndActionsChangeTheKey) {
+  Chain chain = BuildChain();
+  PartitionContext ctx(chain.func, PaperMesh());
+  const std::vector<int32_t> empty = ctx.StateKey();
+  ASSERT_TRUE(ctx.TileValue(chain.x, 0, "B"));
+  const std::vector<int32_t> tiled = ctx.StateKey();
+  EXPECT_NE(tiled, empty);
+  ctx.Propagate();
+  const std::vector<int32_t> propagated = ctx.StateKey();
+  EXPECT_NE(propagated, tiled);
+
+  PartitionContext copy = ctx;
+  EXPECT_EQ(copy.StateKey(), propagated);
+  copy.AtomicValue(chain.w1, "M");
+  EXPECT_NE(copy.StateKey(), propagated);
+  EXPECT_EQ(ctx.StateKey(), propagated);  // the original is untouched
+}
+
+TEST(StateKeyTest, RealizationDecisionChangesTheKey) {
+  // Propagation reaches the statistic and records a kGather decision for
+  // it without touching any tile or nest. The same tiles and nests forced
+  // without that decision key differently, until propagation records it.
+  StatChain chain = BuildStatChain();
+  PartitionContext propagated(chain.func, PaperMesh());
+  propagated.set_boundary_realization(true);
+  PartitionContext forced = propagated;
+  ASSERT_TRUE(propagated.TileValue(chain.x0, 1, "M"));
+  propagated.Propagate();
+  ASSERT_EQ(propagated.realizations().size(), 1u);
+  EXPECT_EQ(propagated.realizations().begin()->second, Realization::kGather);
+
+  ASSERT_TRUE(forced.TileValue(chain.x0, 1, "M"));
+  Operation* mul = chain.stats->operand(0)->def();
+  Operation* add = mul->operand(0)->def();
+  for (Operation* op : {add, mul}) {
+    ASSERT_TRUE(forced.ForceOpAxis(op, "M",
+                                   GetShardingSpec(*op).FactorForResultDim(1)));
+  }
+  EXPECT_TRUE(forced.realizations().empty());
+  EXPECT_NE(forced.StateKey(), propagated.StateKey());
+  EXPECT_EQ(forced.Propagate(), 0);
+  EXPECT_EQ(forced.StateKey(), propagated.StateKey());
+}
+
+TEST(StateKeyTest, EmptyStateEntryKeysAsAbsent) {
+  // A refused ForceOpAxis leaves an empty state entry for the broadcast's
+  // result (its new dim 3 does not divide by M=2); it is the same state.
+  Module module;
+  Func* func = module.AddFunc("main");
+  Value* v = func->body().AddArg(TensorType({4}), "v");
+  OpBuilder builder(&func->body());
+  Value* wide = builder.BroadcastInDim(v, {4, 3}, {0});
+  builder.Return({wide});
+  PartitionContext ctx(func, PaperMesh());
+  const std::vector<int32_t> before = ctx.StateKey();
+  const int factor = GetShardingSpec(*wide->def()).FactorForResultDim(1);
+  ASSERT_GE(factor, 0);
+  EXPECT_FALSE(ctx.ForceOpAxis(wide->def(), "M", factor));
+  EXPECT_EQ(ctx.StateKey(), before);
+}
+
+// ---- Propagation equivalence pins ----
+//
+// Values pinned from the full-sweep propagation loop: the change-driven
+// propagator must apply the same steps and report the same conflicts in the
+// same order.
+
+struct PropagationPin {
+  const char* program;
+  bool incremental;
+  std::vector<int64_t> propagate_changes;  // per `propagate` pass
+  size_t conflicts;
+  uint64_t conflict_checksum;
+};
+
+TEST(PropagationPinTest, Fig8SchedulesMatchPinnedChangesAndConflicts) {
+  const std::vector<PropagationPin> pins = {
+      {"T32", true, {314, 396, 172, 202}, 69, 0x485dce5e04b5dc01ULL},
+      {"T32", false, {1024}, 79, 0x7770c0a409c7fd96ULL},
+      {"UNet", true, {2260, 2578, 3082}, 416, 0x1a9f18ea7c46375cULL},
+      {"UNet", false, {7116}, 225, 0x56fa0f54fd09bce8ULL},
+      {"GNS", true, {1684}, 0, 0x14650fb0739d0383ULL},
+      {"GNS", false, {1684}, 0, 0x14650fb0739d0383ULL},
+      {"IT32", true, {954, 414}, 0, 0x14650fb0739d0383ULL},
+      {"IT32", false, {1368}, 0, 0x14650fb0739d0383ULL},
+  };
+  for (const Fig8Program& program : Fig8Programs()) {
+    for (const PropagationPin& pin : pins) {
+      if (program.name != pin.program) continue;
+      SCOPED_TRACE(StrCat(program.name, " incremental=", pin.incremental));
+      Module module;
+      Func* func = program.build(module);
+      PartitionContext ctx(func, Fig8Mesh());
+      PartitionOptions options;
+      options.incremental = pin.incremental;
+      options.per_tactic_reports = false;
+      options.use_cache = false;
+      PartitionResult result =
+          PartirJitOrError(ctx, program.schedule, options).value();
+      std::vector<int64_t> changes;
+      for (const PassStats& pass : result.pipeline.passes) {
+        if (pass.name == "propagate") changes.push_back(pass.changes);
+      }
+      EXPECT_EQ(changes, pin.propagate_changes);
+      EXPECT_EQ(result.conflicts.size(), pin.conflicts);
+      EXPECT_EQ(ConflictChecksum(*func, result.conflicts),
+                pin.conflict_checksum);
+    }
+  }
+}
+
+TEST(PropagationPinTest, GspmdBaselineMatchesPin) {
+  Module module;
+  Func* step =
+      BuildTransformerTrainingStep(module, Fig8TestTransformer(), "step");
+  PartitionContext ctx(step, Fig8Mesh());
+  GspmdResult result = GspmdPartition(
+      ctx,
+      {{"tokens", 0, "batch"}, {"targets", 0, "batch"}, {"wq", 1, "model"},
+       {"wk", 1, "model"}, {"wv", 1, "model"}, {"wo", 0, "model"},
+       {"w_up", 1, "model"}, {"w_gate", 1, "model"}, {"w_down", 0, "model"},
+       {"wq", 0, "batch"}, {"wk", 0, "batch"}, {"wv", 0, "batch"},
+       {"wo", 2, "batch"}, {"emb", 0, "batch"}, {"params.emb", 1, "model"}},
+      {});
+  EXPECT_EQ(CountCollectives(*result.spmd.module, result.spmd.mesh).ToString(),
+            "AG=43 AR=22 RS=25 A2A=0");
+  EXPECT_EQ(result.heuristic_resolutions, 50);
+  EXPECT_TRUE(ctx.conflicts().empty());
+}
+
+TEST(PropagationPinTest, RandomProgramsMatchPinnedCollectivesAndConflicts) {
+  // One checksum over 100 seeded random programs and schedules (the
+  // ExecBackendRandomTest generator): per seed, the final collective counts
+  // and the conflict checksum, or "error" for a typed rejection.
+  uint64_t hash = 1469598103934665603ULL;
+  int partitioned = 0;
+  for (int i = 0; i < 100; ++i) {
+    const uint64_t seed = 20261000 + i;
+    RandomProgramCase c(seed);
+    PartitionContext ctx(c.program().func(), c.mesh());
+    PartitionOptions options;
+    options.use_cache = false;
+    StatusOr<PartitionResult> result =
+        PartirJitOrError(ctx, c.schedule(), options);
+    std::string line = "error";
+    if (result.ok()) {
+      ++partitioned;
+      line = StrCat(result->collectives.ToString(), " ",
+                    ConflictChecksum(*c.program().func(), ctx.conflicts()));
+    }
+    for (unsigned char ch : StrCat(seed, " ", line, "\n")) {
+      hash ^= ch;
+      hash *= 1099511628211ULL;
+    }
+  }
+  EXPECT_EQ(partitioned, 65);
+  EXPECT_EQ(hash, 0x825bc6db4b949c72ULL);
 }
 
 }  // namespace
