@@ -163,6 +163,7 @@ int main(int argc, char** argv) {
   std::string cache_dir;
   std::string mode = "full";  // full | compile | warm
   std::string save_result;    // SaveResult artifact for tools/partir_lint
+  std::string save_program;   // Program::Save artifact for tools/partir_lint
   bool enforce_floor = false;
   for (int i = 1; i < argc; ++i) {
     if (std::strcmp(argv[i], "--cache-dir") == 0 && i + 1 < argc) {
@@ -173,10 +174,13 @@ int main(int argc, char** argv) {
       enforce_floor = true;
     } else if (std::strcmp(argv[i], "--save-result") == 0 && i + 1 < argc) {
       save_result = argv[++i];
+    } else if (std::strcmp(argv[i], "--save-program") == 0 && i + 1 < argc) {
+      save_program = argv[++i];
     } else {
       std::fprintf(stderr,
                    "usage: %s [--cache-dir DIR] [--mode full|compile|warm] "
-                   "[--enforce-floor] [--save-result PATH]\n",
+                   "[--enforce-floor] [--save-result PATH] "
+                   "[--save-program PATH]\n",
                    argv[0]);
       return 2;
     }
@@ -199,6 +203,12 @@ int main(int argc, char** argv) {
         program.Partition(chain->schedule, chain->mesh);
     if (!exe.ok()) PARTIR_FATAL() << exe.status().ToString();
     Status saved = exe.value().SaveResult(save_result);
+    if (!saved.ok()) PARTIR_FATAL() << saved.ToString();
+  }
+  if (!save_program.empty()) {
+    // And the traced program itself, in the Program::Save format.
+    Status saved =
+        Program::Capture(chain->build, /*batch=*/4).Save(save_program);
     if (!saved.ok()) PARTIR_FATAL() << saved.ToString();
   }
 

@@ -57,7 +57,7 @@ std::vector<DeviceTrace> ExtractCollectiveTraces(const Module& module,
     // compiler; surface the same restriction statically.
     for (int r = 0; r < op->num_regions(); ++r) {
       WalkOps(op->region(r).block(), [&](const Operation& inner) {
-        if (IsCollectiveKind(inner.kind())) {
+        if (IsCollective(inner.kind())) {
           report.Error(kMismatch, OpLocation(i, *op),
                        StrCat("collective ", OpKindName(inner.kind()),
                               " inside a loop region: devices would "
@@ -65,7 +65,7 @@ std::vector<DeviceTrace> ExtractCollectiveTraces(const Module& module,
         }
       });
     }
-    if (!IsCollectiveKind(op->kind())) continue;
+    if (!IsCollective(op->kind())) continue;
     if (op->kind() == OpKind::kAllSlice) continue;  // device-local
 
     StatusOr<std::vector<std::string>> axes_or = CollectiveGroupAxes(*op);

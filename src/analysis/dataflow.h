@@ -12,7 +12,7 @@
  *    over the linear SSA blocks of this IR. Region bodies are processed
  *    before their enclosing op's transfer runs, so a transfer function can
  *    consult the states of body values (e.g. a loop's yield operands). The
- *    shape checker and the replication lint are instances.
+ *    replication lint is an instance.
  */
 #ifndef PARTIR_ANALYSIS_DATAFLOW_H_
 #define PARTIR_ANALYSIS_DATAFLOW_H_

@@ -9,6 +9,8 @@
 #include <vector>
 
 #include "src/analysis/dataflow.h"
+#include "src/ir/op_rules.h"
+#include "src/ir/verifier.h"
 #include "src/spmd/collectives.h"
 #include "src/support/str_util.h"
 
@@ -20,12 +22,6 @@ constexpr char kLint[] = "ir-lint";
 constexpr char kDead[] = "dead-value";
 constexpr char kRedundant[] = "redundant-collective";
 
-std::string Loc(const Operation& op) {
-  std::string name =
-      op.num_results() > 0 ? op.result(0)->name() : std::string("?");
-  return StrCat(OpKindName(op.kind()), " '%", name, "'");
-}
-
 /** Abort-free attribute pointer: null when missing or mistyped. */
 template <typename T>
 const T* AttrPtr(const Operation& op, const std::string& name) {
@@ -34,233 +30,15 @@ const T* AttrPtr(const Operation& op, const std::string& name) {
   return std::get_if<T>(&it->second);
 }
 
-template <typename T>
-bool RequireAttr(const Operation& op, const std::string& name,
-                 AnalysisReport& report, const T** out) {
-  *out = AttrPtr<T>(op, name);
-  if (*out == nullptr) {
-    report.Error(kLint, Loc(op),
-                 StrCat("missing or mistyped attribute '", name, "'"));
-    return false;
-  }
-  return true;
-}
-
-void LintCollective(const Operation& op, const Mesh* mesh,
-                    AnalysisReport& report) {
-  if (op.num_operands() != 1) {
-    report.Error(kLint, Loc(op),
-                 StrCat("collective takes 1 operand, has ",
-                        op.num_operands()));
-    return;
-  }
-  if (!op.operand(0)->type().IsTensor() || op.num_results() != 1 ||
-      !op.result(0)->type().IsTensor()) {
-    report.Error(kLint, Loc(op), "collective operand/result must be tensors");
-    return;
-  }
-  const int rank = op.operand(0)->tensor_type().rank();
-  std::vector<std::string> axes;
-  switch (op.kind()) {
-    case OpKind::kAllSlice:
-    case OpKind::kAllGather:
-    case OpKind::kReduceScatter: {
-      const AxesPerDim* apd = nullptr;
-      if (!RequireAttr(op, "axes_per_dim", report, &apd)) return;
-      if (static_cast<int>(apd->size()) != rank) {
-        report.Error(kLint, Loc(op),
-                     StrCat("axes_per_dim lists ", apd->size(),
-                            " dim(s), the operand has rank ", rank));
-      }
-      axes = FlattenAxesPerDim(*apd);
-      break;
-    }
-    case OpKind::kAllReduce:
-    case OpKind::kAllToAll: {
-      const std::vector<std::string>* axes_attr = nullptr;
-      if (!RequireAttr(op, "axes", report, &axes_attr)) return;
-      axes = *axes_attr;
-      break;
-    }
-    default:
-      return;
-  }
-  if (op.kind() == OpKind::kAllReduce || op.kind() == OpKind::kReduceScatter) {
-    const std::string* reduction = nullptr;
-    if (RequireAttr(op, "reduction", report, &reduction) &&
-        *reduction != "sum" && *reduction != "max") {
-      report.Error(kLint, Loc(op),
-                   StrCat("unknown reduction '", *reduction, "'"));
-    }
-  }
-  if (op.kind() == OpKind::kAllToAll) {
-    for (const char* name : {"slice_dim", "concat_dim"}) {
-      const int64_t* dim = nullptr;
-      if (RequireAttr(op, name, report, &dim) &&
-          (*dim < 0 || *dim >= rank)) {
-        report.Error(kLint, Loc(op),
-                     StrCat(name, " ", *dim, " out of range for rank ",
-                            rank));
-      }
-    }
-  }
-  std::set<std::string> seen;
-  for (const std::string& axis : axes) {
-    if (!seen.insert(axis).second) {
-      report.Error(kLint, Loc(op), StrCat("duplicate mesh axis '", axis,
-                                          "' in the group axes"));
-    }
-    if (mesh != nullptr && !mesh->HasAxis(axis)) {
-      report.Error(kLint, Loc(op), StrCat("unknown mesh axis '", axis, "'"));
-    }
-  }
-}
-
+/** The ir-lint errors are the malformed-structure violations of the op
+ *  rules (src/ir/op_rules.h) and the verifier's dominance and placement
+ *  checks; shape misfits are left to the shape checker. */
 void LintStructure(const Module& module, const Mesh* mesh,
                    AnalysisReport& report) {
-  for (const auto& func : module.funcs()) {
-    if (func->body().num_ops() == 0 ||
-        func->body().terminator()->kind() != OpKind::kReturn) {
-      report.Error(kLint, StrCat("function '", func->name(), "'"),
-                   "body is empty or not terminated by a return");
-      continue;
-    }
-    std::function<void(const Block&, int)> walk = [&](const Block& block,
-                                                      int depth) {
-      for (int i = 0; i < block.num_ops(); ++i) {
-        const Operation& op = *block.ops()[i];
-        const bool is_terminator = i == block.num_ops() - 1;
-        switch (op.kind()) {
-          case OpKind::kReturn:
-            if (depth > 0) {
-              report.Error(kLint, Loc(op), "return inside a loop region");
-            } else if (!is_terminator) {
-              report.Error(kLint, Loc(op), "return before the end of the "
-                                           "function body");
-            }
-            break;
-          case OpKind::kYield:
-            if (depth == 0) {
-              report.Error(kLint, Loc(op),
-                           "yield outside a loop region");
-            } else if (!is_terminator) {
-              report.Error(kLint, Loc(op),
-                           "yield before the end of its region");
-            }
-            break;
-          case OpKind::kLoop: {
-            if (op.num_regions() != 1) {
-              report.Error(kLint, Loc(op),
-                           StrCat("loop carries ", op.num_regions(),
-                                  " region(s), expected 1"));
-              break;
-            }
-            const Block& body = op.region(0).block();
-            if (body.num_args() != 1 || !body.arg(0)->type().IsRange()) {
-              report.Error(kLint, Loc(op),
-                           "loop body must take a single range argument");
-            } else {
-              const RangeType& range = body.arg(0)->type().range();
-              if (range.size() < 1) {
-                report.Error(kLint, Loc(op),
-                             StrCat("loop trip count ", range.size(),
-                                    " < 1"));
-              }
-              if (mesh != nullptr && !range.axis().empty()) {
-                if (!mesh->HasAxis(range.axis())) {
-                  report.Error(kLint, Loc(op),
-                               StrCat("loop ranges over unknown mesh axis '",
-                                      range.axis(), "'"));
-                } else if (mesh->AxisSize(range.axis()) != range.size()) {
-                  report.Error(
-                      kLint, Loc(op),
-                      StrCat("trip count ", range.size(),
-                             " disagrees with mesh axis '", range.axis(),
-                             "' of size ", mesh->AxisSize(range.axis())));
-                }
-              }
-            }
-            if (body.num_ops() == 0 ||
-                body.terminator()->kind() != OpKind::kYield) {
-              report.Error(kLint, Loc(op),
-                           "loop body is empty or not terminated by yield");
-            } else if (body.terminator()->num_operands() !=
-                       op.num_results()) {
-              report.Error(
-                  kLint, Loc(op),
-                  StrCat("yield carries ",
-                         body.terminator()->num_operands(),
-                         " value(s), the loop has ", op.num_results(),
-                         " result(s)"));
-            }
-            const std::string* action = nullptr;
-            if (RequireAttr(op, "action", report, &action) &&
-                *action != "any" && *action != "sum" && *action != "tile") {
-              report.Error(kLint, Loc(op),
-                           StrCat("unknown loop action '", *action, "'"));
-            }
-            if (action != nullptr && *action == "tile") {
-              const int64_t* tile_dim = nullptr;
-              if (RequireAttr(op, "tile_dim", report, &tile_dim) &&
-                  op.num_results() > 0 &&
-                  op.result(0)->type().IsTensor() &&
-                  (*tile_dim < 0 ||
-                   *tile_dim >= op.result(0)->tensor_type().rank())) {
-                report.Error(kLint, Loc(op),
-                             StrCat("tile_dim ", *tile_dim,
-                                    " out of range for the loop result"));
-              }
-            }
-            break;
-          }
-          case OpKind::kPSlice: {
-            if (depth == 0) {
-              report.Error(kLint, Loc(op), "slice outside a loop region");
-            }
-            if (op.num_operands() != 2 ||
-                !op.operand(0)->type().IsTensor() ||
-                !op.operand(1)->type().IsRange()) {
-              report.Error(kLint, Loc(op),
-                           "slice takes (tensor, range) operands");
-              break;
-            }
-            const int64_t* dim = nullptr;
-            if (!RequireAttr(op, "dim", report, &dim)) break;
-            const TensorType& in = op.operand(0)->tensor_type();
-            if (*dim < 0 || *dim >= in.rank()) {
-              report.Error(kLint, Loc(op),
-                           StrCat("slice dim ", *dim,
-                                  " out of range for rank ", in.rank()));
-            } else {
-              int64_t count = op.operand(1)->type().range().size();
-              if (count < 1 || in.dim(*dim) % count != 0) {
-                report.Error(
-                    kLint, Loc(op),
-                    StrCat("dim ", *dim, " of size ", in.dim(*dim),
-                           " is not divisible into ", count, " chunk(s)"));
-              }
-            }
-            break;
-          }
-          default:
-            if (IsCollectiveKind(op.kind())) {
-              if (depth > 0) {
-                report.Error(kLint, Loc(op),
-                             "collective inside a loop region");
-              }
-              LintCollective(op, mesh, report);
-            }
-            break;
-        }
-        if (op.num_regions() > 0 && op.kind() != OpKind::kLoop) {
-          report.Error(kLint, Loc(op), "only loop ops may carry regions");
-        }
-        for (int r = 0; r < op.num_regions(); ++r) {
-          walk(op.region(r).block(), depth + 1);
-        }
-      }
-    };
-    walk(func->body(), 0);
+  for (const Violation& violation : FindViolations(module, mesh)) {
+    if (violation.status.code() != StatusCode::kInvalidArgument) continue;
+    report.Error(kLint, StrCat("function '", violation.func->name(), "'"),
+                 violation.status.message());
   }
 }
 
@@ -279,7 +57,7 @@ void LintDeadValues(const Module& module, AnalysisReport& report) {
           if (used.count(op.result(r))) any_used = true;
         }
         if (!any_used) {
-          report.Warning(kDead, Loc(op),
+          report.Warning(kDead, OpLabel(op),
                          "no result of this op is ever used");
         }
         for (int r = 0; r < op.num_regions(); ++r) {
@@ -314,12 +92,12 @@ void LintRedundantCollectives(const Module& module, const Mesh& mesh,
         });
 
     for (const auto& op : func->body().ops()) {
-      if (!IsCollectiveKind(op->kind()) || op->num_operands() != 1) continue;
+      if (!IsCollective(op->kind()) || op->num_operands() != 1) continue;
       std::vector<std::string> axes = axes_of(*op);
       auto it = states.find(op->operand(0));
       if (it == states.end()) continue;
       if (axes.empty()) {
-        report.Warning(kRedundant, Loc(*op),
+        report.Warning(kRedundant, OpLabel(*op),
                        "collective over an empty axis list is a no-op");
         continue;
       }
@@ -339,7 +117,7 @@ void LintRedundantCollectives(const Module& module, const Mesh& mesh,
             AttrPtr<AxesPerDim>(*producer, "axes_per_dim");
         if (outer != nullptr && inner != nullptr && *outer == *inner) {
           report.Warning(
-              kRedundant, Loc(*op),
+              kRedundant, OpLabel(*op),
               StrCat("undoes the ", OpKindName(producer->kind()), " '%",
                      producer->result(0)->name(),
                      "' it consumes (gather/slice round-trip survived "
@@ -352,13 +130,13 @@ void LintRedundantCollectives(const Module& module, const Mesh& mesh,
       if (!known || (it->second & mask) != mask) continue;
       if (op->kind() == OpKind::kAllReduce) {
         report
-            .Warning(kRedundant, Loc(*op),
+            .Warning(kRedundant, OpLabel(*op),
                      "all_reduce of a value already replicated along its "
                      "axes (back-to-back all_reduce?)")
             .notes = {"for reduction=sum this is not even a no-op: it "
                       "multiplies the value by the group size"};
       } else if (op->kind() == OpKind::kAllGather) {
-        report.Warning(kRedundant, Loc(*op),
+        report.Warning(kRedundant, OpLabel(*op),
                        "all_gather of a value already replicated along the "
                        "gather axes concatenates identical copies");
       } else if (op->kind() == OpKind::kReduceScatter) {
@@ -367,7 +145,7 @@ void LintRedundantCollectives(const Module& module, const Mesh& mesh,
         // path: every device holds the full sum, so re-reducing scales the
         // result by the group size.
         report
-            .Warning(kRedundant, Loc(*op),
+            .Warning(kRedundant, OpLabel(*op),
                      "reduce_scatter of a value already replicated along "
                      "its axes re-reduces identical copies")
             .notes = {"for reduction=sum this scales the result by the "

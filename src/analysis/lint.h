@@ -5,10 +5,11 @@
  * modules — every malformed construct becomes a diagnostic, never a crash.
  *
  * Checker ids:
- *  - "ir-lint" (errors): region well-formedness (kLoop arity, range arg and
- *    trip count, kYield placement and arity, kPSlice operands and
- *    divisibility), collective attribute presence/types/axes, misplaced
- *    terminators;
+ *  - "ir-lint" (errors): the malformed-structure violations of the one op
+ *    rule set (src/ir/op_rules.h, walked by FindViolations in
+ *    src/ir/verifier.h) — dominance, placement, operand kinds, attribute
+ *    presence/types/ranges, regions, mesh axes. Shape misfits are the
+ *    shape checker's;
  *  - "dead-value" (warnings): ops none of whose results are ever read;
  *  - "redundant-collective" (warnings): collectives the replication
  *    dataflow proves unnecessary — an all_gather of a value already

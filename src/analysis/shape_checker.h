@@ -2,17 +2,17 @@
  * @file
  * Shape / divisibility consistency checking over lowered SPMD modules.
  *
- * The lowered module's value types *are* the per-device local shapes; this
- * checker re-derives every op's result shape from its operands — with mesh
- * math for the collectives (all_gather multiplies dims by the gathered axis
- * product, all_slice / reduce_scatter divide and must divide evenly,
- * all_to_all moves a group-size factor between dims) — and flags any op
- * whose declared types disagree with the derivation, or whose operands
- * disagree with each other, before execution can. Shardings are validated
- * against the mesh (axis existence, rank agreement).
+ * The lowered module's value types *are* the per-device local shapes. The
+ * checker reports every violation of the one op rule set
+ * (src/ir/op_rules.h) against the module's mesh — operand shapes that do
+ * not fit an op's rule (all_slice / reduce_scatter dims the axis product
+ * does not divide, disagreeing elementwise operands, ...) and declared
+ * types that differ from the inferred ones — before execution can trip on
+ * them. Shardings are validated against the mesh (axis existence, rank
+ * agreement). Each op is checked against its operands' declared types, so
+ * one bad op does not cascade.
  *
- * Checker id: "shape-check". Built on RunForwardDataflow; on a mismatch the
- * declared shape is taken as the state so one bad op doesn't cascade.
+ * Checker id: "shape-check".
  */
 #ifndef PARTIR_ANALYSIS_SHAPE_CHECKER_H_
 #define PARTIR_ANALYSIS_SHAPE_CHECKER_H_

@@ -110,6 +110,23 @@ StatusOr<Program> Program::Load(const std::string& path) {
   if (module->funcs().empty()) {
     return DataLossError("program file ", path, " holds an empty module");
   }
+  // A program is traced array IR: partitioning introduces the loops,
+  // slices and collectives, so no file Program::Save wrote holds one.
+  const Operation* foreign = nullptr;
+  for (const auto& func : module->funcs()) {
+    WalkOps(func->body(), [&](const Operation& op) {
+      bool array_ir = !IsCollective(op.kind()) &&
+                      op.kind() != OpKind::kLoop &&
+                      op.kind() != OpKind::kPSlice &&
+                      op.kind() != OpKind::kYield;
+      if (!array_ir && foreign == nullptr) foreign = &op;
+    });
+  }
+  if (foreign != nullptr) {
+    return DataLossError("program file ", path, " holds the op '",
+                         OpKindName(foreign->kind()),
+                         "'; programs hold array IR only");
+  }
   Program loaded((CaptureTag()));
   loaded.module_ = std::move(module);
   loaded.func_ = loaded.module_->funcs().front().get();

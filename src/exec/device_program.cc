@@ -6,6 +6,7 @@
 
 #include "src/interp/interpreter.h"
 #include "src/ir/op_kind.h"
+#include "src/ir/op_rules.h"
 
 namespace partir {
 namespace exec {
@@ -47,42 +48,17 @@ Kernel SelectKernel(const Operation& op) {
   return Kernel::kGeneric;
 }
 
-/** Typed validation of one loop region op, recursively. */
-Status ValidateLoopOp(const Func& func, const Operation& op) {
-  if (op.kind() != OpKind::kLoop) {
-    return InvalidArgumentError(
-        "device program cannot execute region op '", OpKindName(op.kind()),
-        "' in '", func.name(), "'");
-  }
-  if (op.num_regions() != 1 || op.num_results() != 1) {
-    return InvalidArgumentError("loop in '", func.name(),
-                                "' must have one region and one result");
-  }
-  const Block& body = op.region(0).block();
-  if (body.num_args() < 1 || !body.arg(0)->type().IsRange()) {
-    return InvalidArgumentError("loop body in '", func.name(),
-                                "' must take a range argument");
-  }
-  if (body.num_ops() == 0 || body.terminator()->kind() != OpKind::kYield ||
-      body.terminator()->num_operands() != 1) {
-    return InvalidArgumentError("loop body in '", func.name(),
-                                "' must yield exactly one value");
-  }
-  const std::string& action = op.attrs().Get<std::string>("action");
-  if (action != "any" && action != "sum" && action != "tile") {
-    return InvalidArgumentError("unknown loop action '", action, "' in '",
-                                func.name(), "'");
-  }
-  for (const auto& inner : body.ops()) {
-    if (IsCollective(inner->kind())) {
-      return InvalidArgumentError(
-          "device program cannot execute collective '",
-          OpKindName(inner->kind()), "' inside a loop region in '",
-          func.name(), "'");
-    }
-    if (inner->num_regions() > 0) {
-      PARTIR_RETURN_IF_ERROR(ValidateLoopOp(func, *inner));
-    }
+/** The op rules the executor walks on (src/ir/op_rules.h): every op of
+ *  `block` where it may sit and every region op a well-formed loop,
+ *  recursively — a typed error instead of a walk into broken structure. */
+Status CheckStructure(const Block& block, bool in_loop) {
+  for (int i = 0; i < block.num_ops(); ++i) {
+    const Operation& op = *block.ops()[i];
+    const bool is_terminator = i == block.num_ops() - 1;
+    PARTIR_RETURN_IF_ERROR(CheckPlacement(op, in_loop, is_terminator));
+    if (op.num_regions() == 0) continue;
+    PARTIR_RETURN_IF_ERROR(InferResultTypes(op, /*mesh=*/nullptr).status());
+    PARTIR_RETURN_IF_ERROR(CheckStructure(op.region(0).block(), true));
   }
   return Status::Ok();
 }
@@ -273,16 +249,7 @@ StatusOr<std::shared_ptr<const DeviceProgram>> CompileDeviceProgram(
     return InternalError("SPMD function '", func.name(),
                          "' has no return terminator");
   }
-  for (const auto& op : body.ops()) {
-    if (op->kind() == OpKind::kPSlice || op->kind() == OpKind::kYield) {
-      return InvalidArgumentError(
-          "PartIR:Core op '", OpKindName(op->kind()),
-          "' outside a loop region in '", func.name(), "'");
-    }
-    if (op->num_regions() > 0) {
-      PARTIR_RETURN_IF_ERROR(ValidateLoopOp(func, *op));
-    }
-  }
+  PARTIR_RETURN_IF_ERROR(CheckStructure(body, /*in_loop=*/false));
 
   auto program = std::make_shared<DeviceProgram>();
   program->plan = PlanMemory(func, /*reuse=*/optimize);

@@ -6,6 +6,7 @@
 #define PARTIR_IR_ATTR_H_
 
 #include <cstdint>
+#include <functional>
 #include <map>
 #include <string>
 #include <variant>
@@ -52,10 +53,13 @@ class AttrMap {
     return *value;
   }
 
-  const std::map<std::string, Attr>& raw() const { return attrs_; }
+  /** Name-ordered attributes; find() takes a C string without copying it. */
+  const std::map<std::string, Attr, std::less<>>& raw() const {
+    return attrs_;
+  }
 
  private:
-  std::map<std::string, Attr> attrs_;
+  std::map<std::string, Attr, std::less<>> attrs_;
 };
 
 }  // namespace partir

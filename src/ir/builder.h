@@ -1,15 +1,23 @@
 /**
  * @file
- * OpBuilder: typed creation helpers with shape inference for every op kind.
- * This is the API model-zoo builders and compiler passes use to construct IR.
+ * OpBuilder: typed creation helpers for every op kind. This is the API
+ * model-zoo builders and compiler passes use to construct IR. Each helper
+ * sets the op's attributes and takes its result type from the op's rule
+ * in src/ir/op_rules.h — the same rule the verifier, the analysis lint and
+ * the deserializers enforce — so misuse is a PARTIR_CHECK printing the
+ * broken rule.
  */
 #ifndef PARTIR_IR_BUILDER_H_
 #define PARTIR_IR_BUILDER_H_
 
+#include <initializer_list>
+#include <memory>
+#include <optional>
 #include <string>
 #include <vector>
 
 #include "src/ir/ir.h"
+#include "src/mesh/mesh.h"
 
 namespace partir {
 
@@ -32,16 +40,15 @@ class OpBuilder {
   }
 
   /**
-   * Provides mesh-axis sizes, required for building collectives whose result
-   * shapes depend on axis sizes (all_slice / all_gather / ...).
+   * Provides the device mesh, required for building collectives whose
+   * result shapes depend on axis sizes (all_slice / all_gather / ...).
    */
-  void SetAxisSizeFn(std::function<int64_t(const std::string&)> fn) {
-    axis_size_ = std::move(fn);
-  }
+  void SetMesh(Mesh mesh) { mesh_ = std::move(mesh); }
 
   // ---- Generic creation ----
 
-  /** Creates an op with explicit result types (no inference). */
+  /** Creates an op with explicit result types (no inference; the verifier
+   *  checks them against the op's rule). */
   Operation* Create(OpKind kind, std::vector<Value*> operands,
                     std::vector<Type> result_types);
 
@@ -170,16 +177,25 @@ class OpBuilder {
   Value* AllToAll(Value* operand, int64_t slice_dim, int64_t concat_dim,
                   std::vector<std::string> axes);
 
-  /**
-   * Computes the device-local shape produced by slicing each dim by the
-   * total size of its axes. `axis_size` resolves an axis name to its size.
-   */
-  static std::vector<int64_t> LocalDims(
-      const std::vector<int64_t>& dims, const AxesPerDim& axes,
-      const std::function<int64_t(const std::string&)>& axis_size);
-
  private:
-  Value* AppendOp(OpKind kind, std::vector<Value*> operands, Type result_type);
+  /** Inserts `op` at the insertion point. */
+  Operation* Place(std::unique_ptr<Operation> op);
+  /** Sets the result types of `op` from its rule (aborting with the rule's
+   *  message on misuse) and inserts it. */
+  Operation* Finish(std::unique_ptr<Operation> op);
+  /** One attribute of a Build call. `value` is mutable so Build can move
+   *  it out of the (const) initializer list instead of copying it. */
+  struct NamedAttr {
+    const char* name;
+    mutable Attr value;
+  };
+  /** Builds a single-result op from operands and attributes; `declared` is
+   *  the result type for the kinds whose rule takes it from the op. */
+  Value* Build(OpKind kind, std::vector<Value*> operands,
+               std::initializer_list<NamedAttr> attrs, Type declared = Type());
+  /** Builds an axis-dependent collective (needs SetMesh). */
+  Value* BuildCollective(OpKind kind, Value* operand,
+                         std::initializer_list<NamedAttr> attrs);
   /** Broadcasts a reduced value back to target_dims (reduced dims of size 1
    *  re-inserted at `removed_dims`). */
   Value* BroadcastBack(Value* reduced, const std::vector<int64_t>& target_dims,
@@ -187,7 +203,7 @@ class OpBuilder {
 
   Block* block_;
   int index_ = -1;
-  std::function<int64_t(const std::string&)> axis_size_;
+  std::optional<Mesh> mesh_;
 };
 
 }  // namespace partir

@@ -1,197 +1,173 @@
 #include "src/ir/verifier.h"
 
-#include <set>
+#include <cstdint>
 
+#include "src/ir/op_rules.h"
 #include "src/support/str_util.h"
 
 namespace partir {
 namespace {
 
-class VerifierState {
+/** An insert-only open-addressing set of pointers: no per-element
+ *  allocation, so marking every op of a large module stays cheap. */
+class PointerSet {
  public:
-  explicit VerifierState(std::vector<std::string>* diags) : diags_(diags) {}
-
-  void Error(const std::string& message) { diags_->push_back(message); }
-
-  void VerifyBlock(const Block& block, std::set<const Value*> visible) {
-    for (const auto& arg : block.args()) visible.insert(arg.get());
-    for (const auto& op : block.ops()) {
-      for (const Value* operand : op->operands()) {
-        if (!visible.count(operand)) {
-          Error(StrCat("op '", OpKindName(op->kind()),
-                       "' uses value not dominating it"));
-        }
-      }
-      VerifyOp(*op);
-      for (int r = 0; r < op->num_regions(); ++r) {
-        VerifyBlock(op->region(r).block(), visible);
-      }
-      for (int i = 0; i < op->num_results(); ++i) {
-        visible.insert(op->result(i));
-      }
+  bool Contains(const void* p) const {
+    if (slots_.empty()) return false;
+    for (size_t i = Slot(p);; i = (i + 1) & (slots_.size() - 1)) {
+      if (slots_[i] == p) return true;
+      if (slots_[i] == nullptr) return false;
     }
   }
 
-  void VerifyOp(const Operation& op) {
-    OpKind kind = op.kind();
-    auto expect_operands = [&](int n) {
-      if (op.num_operands() != n) {
-        Error(StrCat("op '", OpKindName(kind), "' expects ", n,
-                     " operands, got ", op.num_operands()));
-        return false;
-      }
-      return true;
-    };
-    if (IsUnaryElementwise(kind)) {
-      if (expect_operands(1) &&
-          op.operand(0)->type() != op.result()->type()) {
-        Error(StrCat("unary elementwise type mismatch on ",
-                     OpKindName(kind)));
-      }
-      return;
+  void Insert(const void* p) {
+    if (2 * (size_ + 1) > slots_.size()) Grow();
+    size_t i = Slot(p);
+    while (slots_[i] != nullptr && slots_[i] != p) {
+      i = (i + 1) & (slots_.size() - 1);
     }
-    if (IsBinaryElementwise(kind)) {
-      if (expect_operands(2) &&
-          (op.operand(0)->type() != op.operand(1)->type() ||
-           op.operand(0)->type() != op.result()->type())) {
-        Error(StrCat("binary elementwise type mismatch on ",
-                     OpKindName(kind)));
-      }
-      return;
-    }
-    switch (kind) {
-      case OpKind::kConstant:
-        if (!op.attrs().Has("splat") && !op.attrs().Has("data")) {
-          Error("constant without splat or data attribute");
-        }
-        break;
-      case OpKind::kDot: {
-        if (!expect_operands(2)) break;
-        const auto& lc = op.attrs().Get<std::vector<int64_t>>("lhs_contract");
-        const auto& rc = op.attrs().Get<std::vector<int64_t>>("rhs_contract");
-        const TensorType& lt = op.operand(0)->tensor_type();
-        const TensorType& rt = op.operand(1)->tensor_type();
-        for (size_t i = 0; i < lc.size(); ++i) {
-          if (lt.dim(lc[i]) != rt.dim(rc[i])) {
-            Error("dot contracting dims disagree");
-          }
-        }
-        break;
-      }
-      case OpKind::kLoop: {
-        if (op.num_regions() != 1) {
-          Error("loop must have exactly one region");
-          break;
-        }
-        const Block& body = op.region(0).block();
-        if (body.num_args() != 1 || !body.arg(0)->type().IsRange()) {
-          Error("loop body must take a single range argument");
-          break;
-        }
-        if (body.num_ops() == 0 ||
-            body.terminator()->kind() != OpKind::kYield) {
-          Error("loop body must end in yield");
-          break;
-        }
-        const Operation* yield = body.terminator();
-        if (yield->num_operands() != op.num_results()) {
-          Error("loop yield arity mismatch");
-          break;
-        }
-        // Type relation: tile multiplies the tiled dim by the range size;
-        // sum/any keep the type.
-        const std::string& action = op.attrs().Get<std::string>("action");
-        const TensorType& yt = yield->operand(0)->tensor_type();
-        const TensorType& rt = op.result()->tensor_type();
-        int64_t range = body.arg(0)->type().range().size();
-        if (action == "tile") {
-          int64_t dim = op.attrs().Get<int64_t>("tile_dim");
-          std::vector<int64_t> expect = yt.dims();
-          if (dim >= static_cast<int64_t>(expect.size())) {
-            Error("loop tile_dim out of range");
-            break;
-          }
-          expect[dim] *= range;
-          if (expect != rt.dims()) {
-            Error(StrCat("loop tile type mismatch: yielded ", yt.ToString(),
-                         " result ", rt.ToString()));
-          }
-        } else if (action == "sum" || action == "any") {
-          if (yt != rt) Error("loop sum/any type mismatch");
-        } else {
-          Error(StrCat("unknown loop action '", action, "'"));
-        }
-        break;
-      }
-      case OpKind::kPSlice: {
-        if (!expect_operands(2)) break;
-        if (!op.operand(1)->type().IsRange()) {
-          Error("slice second operand must be a range");
-          break;
-        }
-        int64_t dim = op.attrs().Get<int64_t>("dim");
-        const TensorType& in = op.operand(0)->tensor_type();
-        const TensorType& out = op.result()->tensor_type();
-        int64_t range = op.operand(1)->type().range().size();
-        if (in.dim(dim) != out.dim(dim) * range) {
-          Error("slice result dim inconsistent with range size");
-        }
-        break;
-      }
-      case OpKind::kAllReduce:
-        if (expect_operands(1) &&
-            op.operand(0)->type() != op.result()->type()) {
-          Error("all_reduce must preserve type");
-        }
-        break;
-      case OpKind::kAllSlice:
-      case OpKind::kAllGather:
-      case OpKind::kReduceScatter: {
-        if (!expect_operands(1)) break;
-        const auto& axes = op.attrs().Get<AxesPerDim>("axes_per_dim");
-        if (static_cast<int>(axes.size()) !=
-            op.operand(0)->tensor_type().rank()) {
-          Error(StrCat(OpKindName(kind), " axes_per_dim rank mismatch"));
-        }
-        break;
-      }
-      default:
-        break;
-    }
+    if (slots_[i] == nullptr) ++size_;
+    slots_[i] = p;
   }
 
  private:
-  std::vector<std::string>* diags_;
+  size_t Slot(const void* p) const {
+    return static_cast<size_t>(
+        (reinterpret_cast<uintptr_t>(p) * 0x9E3779B97F4A7C15ULL) >>
+        (64 - log2_size_));
+  }
+
+  void Grow() {
+    std::vector<const void*> old = std::move(slots_);
+    log2_size_ = old.empty() ? 6 : log2_size_ + 1;
+    slots_.assign(size_t{1} << log2_size_, nullptr);
+    size_ = 0;
+    for (const void* p : old) {
+      if (p != nullptr) Insert(p);
+    }
+  }
+
+  std::vector<const void*> slots_;
+  size_t size_ = 0;
+  int log2_size_ = 0;
 };
 
-}  // namespace
+class Verifier {
+ public:
+  Verifier(const Func& func, const Mesh* mesh, std::vector<Violation>& out)
+      : func_(func), mesh_(mesh), out_(out) {}
 
-namespace {
-
-void VerifyFuncInto(const Func& func, std::vector<std::string>& diags) {
-  VerifierState state(&diags);
-  if (func.body().num_ops() == 0 ||
-      func.body().terminator()->kind() != OpKind::kReturn) {
-    diags.push_back(StrCat("func @", func.name(), " must end in return"));
-    return;
+  void Run() {
+    const Block& body = func_.body();
+    if (body.num_ops() == 0 || body.ops().back()->kind() != OpKind::kReturn) {
+      out_.push_back({&func_, InvalidArgumentError(
+                                  "func @", func_.name(),
+                                  " is empty or does not end in return")});
+      return;
+    }
+    VisitBlock(body, /*depth=*/0);
   }
-  state.VerifyBlock(func.body(), {});
+
+ private:
+  void Malformed(const Operation& op, const std::string& rule) {
+    out_.push_back({&func_, InvalidArgumentError(OpLabel(op), ": ", rule)});
+  }
+
+  /** Visits `block`, nested `depth` loops deep. A value is visible from
+   *  its definition to the end of its block, nested regions included: a
+   *  block argument while its block is open, an op result once its op was
+   *  visited in an open block. */
+  void VisitBlock(const Block& block, int depth) {
+    open_.push_back(&block);
+    const int num_ops = block.num_ops();
+    for (int i = 0; i < num_ops; ++i) {
+      const Operation& op = *block.ops()[i];
+      for (const Value* operand : op.operands()) {
+        if (!Visible(operand)) {
+          Malformed(op, "uses a value that does not dominate it");
+          break;
+        }
+      }
+      Status placed = CheckPlacement(op, /*in_loop=*/depth > 0,
+                                     /*is_terminator=*/i == num_ops - 1);
+      if (!placed.ok()) out_.push_back({&func_, std::move(placed)});
+      CheckTypes(op);
+      for (int r = 0; r < op.num_regions(); ++r) {
+        VisitBlock(op.region(r).block(), depth + 1);
+      }
+      visited_.Insert(&op);
+    }
+    open_.pop_back();
+  }
+
+  bool Visible(const Value* value) const {
+    if (value == nullptr) return false;
+    const Block* owner = value->IsBlockArg() ? value->owner_block()
+                                             : value->def()->parent();
+    bool open = false;
+    for (const Block* block : open_) open = open || block == owner;
+    return open && (value->IsBlockArg() || visited_.Contains(value->def()));
+  }
+
+  void CheckTypes(const Operation& op) {
+    StatusOr<std::vector<Type>> inferred = InferResultTypes(op, mesh_);
+    if (!inferred.ok()) {
+      out_.push_back({&func_, inferred.status()});
+      return;
+    }
+    if (static_cast<int>(inferred->size()) != op.num_results()) {
+      out_.push_back({&func_, FailedPreconditionError(
+                                  OpLabel(op), ": declares ",
+                                  op.num_results(), " result(s), the rule "
+                                  "gives ", inferred->size())});
+      return;
+    }
+    for (int r = 0; r < op.num_results(); ++r) {
+      if (op.result(r)->type() != (*inferred)[r]) {
+        out_.push_back({&func_, FailedPreconditionError(
+                                    OpLabel(op), ": declared result ", r,
+                                    " ", op.result(r)->type().ToString(),
+                                    " differs from the inferred ",
+                                    (*inferred)[r].ToString())});
+      }
+    }
+  }
+
+  const Func& func_;
+  const Mesh* mesh_;
+  std::vector<Violation>& out_;
+  std::vector<const Block*> open_;  // the block being visited and its parents
+  PointerSet visited_;               // ops whose results are defined
+};
+
+std::vector<std::string> Messages(const std::vector<Violation>& violations) {
+  std::vector<std::string> messages;
+  messages.reserve(violations.size());
+  for (const Violation& violation : violations) {
+    messages.push_back(violation.status.message());
+  }
+  return messages;
 }
 
 }  // namespace
 
-std::vector<std::string> Verify(const Module& module) {
-  std::vector<std::string> diags;
+std::vector<Violation> FindViolations(const Module& module,
+                                      const Mesh* mesh) {
+  std::vector<Violation> violations;
   for (const auto& func : module.funcs()) {
-    VerifyFuncInto(*func, diags);
+    Verifier(*func, mesh, violations).Run();
   }
-  return diags;
+  return violations;
 }
 
-std::vector<std::string> Verify(const Func& func) {
-  std::vector<std::string> diags;
-  VerifyFuncInto(func, diags);
-  return diags;
+std::vector<std::string> Verify(const Module& module, const Mesh* mesh) {
+  return Messages(FindViolations(module, mesh));
+}
+
+std::vector<std::string> Verify(const Func& func, const Mesh* mesh) {
+  std::vector<Violation> violations;
+  Verifier(func, mesh, violations).Run();
+  return Messages(violations);
 }
 
 void VerifyOrDie(const Module& module) {

@@ -85,7 +85,7 @@ Status PassManager::CaptureSnapshot(const Entry& entry, PipelineState& state) {
     // produced here or by a pass (MaterializeLoopsPass).
     if (options_.verify_after_each_pass && !state.loop_snapshot_verified) {
       auto start = Clock::now();
-      std::vector<std::string> diags = Verify(*state.last_loop_snapshot);
+      std::vector<std::string> diags = Verify(*state.last_loop_snapshot, &state.ctx.mesh());
       stats_.verify_seconds += SecondsSince(start);
       ++stats_.verify_runs;
       if (!diags.empty()) {

@@ -4,7 +4,9 @@
 #include <map>
 #include <vector>
 
+#include "src/analysis/shape_checker.h"
 #include "src/exec/device_program.h"
+#include "src/ir/verifier.h"
 #include "src/spmd/collectives.h"
 
 namespace partir {
@@ -484,6 +486,14 @@ SimEstimate ReadEstimate(ByteReader& reader) {
   return estimate;
 }
 
+/** kDataLoss naming the first rule violation of a deserialized module. */
+Status CheckRules(const Module& module, const Mesh* mesh, const char* what) {
+  std::vector<Violation> violations = FindViolations(module, mesh);
+  if (violations.empty()) return Status::Ok();
+  return DataLossError(what, " fails verification (", violations.size(),
+                       " violation(s)): ", violations.front().status.message());
+}
+
 }  // namespace
 
 std::string SerializeModule(const Module& module) {
@@ -501,6 +511,7 @@ StatusOr<std::unique_ptr<Module>> DeserializeModule(
     return DataLossError("trailing garbage: ", reader.remaining(),
                          " bytes after module payload");
   }
+  PARTIR_RETURN_IF_ERROR(CheckRules(*module, /*mesh=*/nullptr, "module"));
   return module;
 }
 
@@ -613,15 +624,6 @@ StatusOr<PartitionResult> DeserializePartitionResult(
   result.spmd.module = ModuleDeserializer(reader).ReadModule();
   if (reader.ok() && result.spmd.module->funcs().empty()) {
     reader.Corrupt("SPMD module has no functions");
-  }
-  if (reader.ok()) {
-    // The runtime walks main()'s terminator unconditionally; reject a
-    // module that would abort there instead of erroring.
-    const Func* main = result.spmd.module->funcs().front().get();
-    if (main->body().num_ops() == 0 ||
-        main->body().ops().back()->kind() != OpKind::kReturn) {
-      reader.Corrupt("SPMD main function is not return-terminated");
-    }
   }
   result.spmd.mesh = ReadMesh(reader);
   uint64_t num_inputs = ReadCount(reader, "input sharding");
@@ -740,6 +742,31 @@ StatusOr<PartitionResult> DeserializePartitionResult(
   if (reader.remaining() != 0) {
     return DataLossError("trailing garbage: ", reader.remaining(),
                          " bytes after result payload");
+  }
+
+  // The op rules and the shardings, against the saved mesh, before any
+  // derived state is built from the module. The runtime reads one
+  // sharding per argument and per result.
+  const Func& main = *result.spmd.main();
+  if (result.spmd.input_shardings.size() !=
+          static_cast<size_t>(main.body().num_args()) ||
+      (main.body().num_ops() > 0 &&
+       result.spmd.output_shardings.size() !=
+           main.body().ops().back()->operands().size())) {
+    return DataLossError("SPMD module's shardings do not match its ",
+                         main.body().num_args(), " argument(s) and results");
+  }
+  analysis::AnalysisReport shapes;
+  analysis::CheckShapes(result.spmd, shapes);
+  for (const analysis::Diagnostic& diag : shapes.diagnostics) {
+    if (diag.severity == analysis::Severity::kError) {
+      return DataLossError("SPMD module fails verification: ", diag.location,
+                           ": ", diag.message);
+    }
+  }
+  for (const auto& module : modules) {
+    PARTIR_RETURN_IF_ERROR(
+        CheckRules(*module, &result.spmd.mesh, "stage snapshot"));
   }
 
   // Rebuild the process-local derived state the pipeline's last passes

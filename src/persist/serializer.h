@@ -15,8 +15,11 @@
  * structure between snapshots that share one module).
  *
  * Deserialization never trusts the input: every read is bounds-checked and
- * every enum/range is validated, so a truncated or corrupted payload is a
- * typed kDataLoss Status — never an abort or an out-of-bounds access.
+ * every enum/range is validated, and every module read back must pass the
+ * one op rule set (src/ir/op_rules.h, via the verifier) — shardings too,
+ * against the saved mesh. A truncated, corrupted or forged payload is a
+ * typed kDataLoss Status — never an abort, an out-of-bounds access or IR
+ * the interpreter and executor would trip on.
  */
 #ifndef PARTIR_PERSIST_SERIALIZER_H_
 #define PARTIR_PERSIST_SERIALIZER_H_
@@ -89,7 +92,7 @@ class ByteReader {
 std::string SerializeModule(const Module& module);
 
 /** Rebuilds a module from SerializeModule bytes; kDataLoss on corrupt or
- *  truncated input. */
+ *  truncated input and on a module that fails verification. */
 StatusOr<std::unique_ptr<Module>> DeserializeModule(const std::string& bytes);
 
 // ---- Partition results ----
@@ -110,7 +113,9 @@ std::string SerializePartitionResult(const PartitionResult& result);
  * rebuilt, and when the saved result carried a compiled device program one
  * is recompiled from the deserialized module (best-effort: a module that
  * does not compile loads with a null program, and every Run then compiles
- * ad hoc and reports the typed error). kDataLoss on corrupt input.
+ * ad hoc and reports the typed error). kDataLoss on corrupt input, and
+ * when the SPMD module (against the saved mesh), its shardings or a stage
+ * snapshot break the op rules.
  */
 StatusOr<PartitionResult> DeserializePartitionResult(
     const std::string& bytes);

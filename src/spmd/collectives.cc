@@ -79,19 +79,6 @@ Tensor ApplySliceSteps(const Tensor& value,
   return out;
 }
 
-bool IsCollectiveKind(OpKind kind) {
-  switch (kind) {
-    case OpKind::kAllSlice:
-    case OpKind::kAllGather:
-    case OpKind::kAllReduce:
-    case OpKind::kReduceScatter:
-    case OpKind::kAllToAll:
-      return true;
-    default:
-      return false;
-  }
-}
-
 std::vector<std::string> FlattenAxesPerDim(const AxesPerDim& axes_per_dim) {
   std::vector<std::string> flat;
   for (const auto& list : axes_per_dim) {
@@ -183,7 +170,7 @@ std::shared_ptr<const CollectivePlan> BuildCollectivePlan(
 
   for (const auto& func : module.funcs()) {
     WalkOps(func->body(), [&](const Operation& op) {
-      if (!IsCollectiveKind(op.kind())) return;
+      if (!IsCollective(op.kind())) return;
       CollectiveOp col;
       col.kind = op.kind();
       switch (op.kind()) {

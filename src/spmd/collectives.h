@@ -96,9 +96,6 @@ struct CollectivePlan {
   std::map<const Operation*, CollectiveOp> ops;
 };
 
-/** True for the five SPMD collective op kinds. */
-bool IsCollectiveKind(OpKind kind);
-
 /** Flattens per-dim axis lists in (dim, list-order) order. */
 std::vector<std::string> FlattenAxesPerDim(const AxesPerDim& axes_per_dim);
 

@@ -38,8 +38,7 @@ class SpmdLowering {
     Func* dst = out_.module->AddFunc(src.name());
     builder_.SetInsertionBlock(&dst->body());
     const Mesh& mesh = ctx_.mesh();
-    builder_.SetAxisSizeFn(
-        [&mesh](const std::string& axis) { return mesh.AxisSize(axis); });
+    builder_.SetMesh(mesh);
 
     for (const auto& arg : src.body().args()) {
       const TensorType& type = arg->tensor_type();

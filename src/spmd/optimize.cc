@@ -54,8 +54,7 @@ class Worklist {
       : body_(spmd.mutable_main()->body()),
         mesh_(spmd.mesh),
         enabled_(rewrites) {
-    builder_.SetAxisSizeFn(
-        [this](const std::string& axis) { return mesh_.AxisSize(axis); });
+    builder_.SetMesh(mesh_);
   }
 
   int64_t Run() {

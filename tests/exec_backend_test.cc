@@ -581,7 +581,9 @@ TEST(ExecBackendTest, BatcherServesCompiledBackendBitIdentically) {
  * Partitions `program` and, unless Partition returns a typed error, checks:
  * the reference and the optimized program agree bit-for-bit in every
  * threading mode, both are within tolerance of the unpartitioned Evaluate,
- * and the executable analyzes clean. Returns whether it partitioned.
+ * the executable analyzes clean, and the saved program and the saved
+ * result both reload to bit-identical outputs. Returns whether it
+ * partitioned.
  */
 bool CheckPartitioned(Program& program, const std::vector<Tactic>& schedule,
                       const Mesh& mesh, uint64_t seed,
@@ -608,6 +610,10 @@ bool CheckPartitioned(Program& program, const std::vector<Tactic>& schedule,
   }
   analysis::AnalysisReport report = exe->Analyze();
   EXPECT_TRUE(report.clean()) << label << ":\n" << report.ToString();
+  EXPECT_EQ(PersistLegMismatch(program, *exe, schedule, mesh, inputs,
+                               exe->Run(inputs).value()),
+            "")
+      << label;
   return true;
 }
 

@@ -1,9 +1,11 @@
-// Unit tests for the array-IR substrate: types, builder shape inference,
-// printing, verification, cloning and DCE.
+// Unit tests for the array-IR substrate: types, the op rules and the
+// builder's shape inference through them, printing, verification, cloning
+// and DCE.
 #include <gtest/gtest.h>
 
 #include "src/ir/builder.h"
 #include "src/ir/ir.h"
+#include "src/ir/op_rules.h"
 #include "src/ir/passes.h"
 #include "src/ir/printer.h"
 #include "src/ir/verifier.h"
@@ -203,6 +205,82 @@ TEST(VerifierTest, CatchesUseBeforeDef) {
   Value* bad = builder.Neg(foreign);
   builder.Return({bad});
   EXPECT_FALSE(Verify(module).empty());
+}
+
+TEST(VerifierTest, CatchesLoopBodyValueUsedAfterTheLoop) {
+  Module module;
+  Func* func = module.AddFunc("main");
+  Value* x = func->body().AddArg(TensorType({256, 8}), "x");
+  OpBuilder builder(&func->body());
+  Operation* loop = builder.Loop("B", 4, "tile", 0, TensorType({256, 8}));
+  Block& body = loop->region(0).block();
+  OpBuilder body_builder(&body);
+  Value* slice = body_builder.PSlice(x, body.arg(0), 0);
+  body_builder.Yield(&body, {slice});
+  // The slice is scoped to the loop body: using it after the loop breaks
+  // dominance even though it was defined earlier in walk order.
+  builder.Return({loop->result(), builder.Neg(slice)});
+  EXPECT_FALSE(Verify(module).empty());
+}
+
+TEST(VerifierTest, CatchesDeclaredTypeThatDiffersFromTheRule) {
+  Module module;
+  Func* func = module.AddFunc("main");
+  Value* x = func->body().AddArg(TensorType({4, 8}), "x");
+  OpBuilder builder(&func->body());
+  Operation* neg = builder.Create(OpKind::kNeg, {x}, {TensorType({8, 4})});
+  builder.Return({neg->result()});
+  std::vector<Violation> violations = FindViolations(module);
+  ASSERT_EQ(violations.size(), 1u);
+  EXPECT_EQ(violations[0].status.code(), StatusCode::kFailedPrecondition);
+}
+
+TEST(OpRulesTest, InfersResultTypesAndNamesTheBrokenRule) {
+  Module module;
+  Func* func = module.AddFunc("main");
+  Value* x = func->body().AddArg(TensorType({2, 3, 4}), "x");
+  Value* w = func->body().AddArg(TensorType({2, 4, 5}), "w");
+  OpBuilder builder(&func->body());
+  Value* y = builder.Dot(x, w, {2}, {1}, {0}, {0});
+  EXPECT_EQ(y->tensor_type(), TensorType({2, 3, 5}));
+
+  Operation* dot = y->def();
+  StatusOr<std::vector<Type>> inferred = InferResultTypes(*dot, nullptr);
+  ASSERT_TRUE(inferred.ok()) << inferred.status().ToString();
+  EXPECT_EQ(*inferred, std::vector<Type>{y->type()});
+
+  // An out-of-range attribute is a malformed op, never an abort.
+  dot->attrs().Set("rhs_contract", std::vector<int64_t>{9});
+  inferred = InferResultTypes(*dot, nullptr);
+  ASSERT_FALSE(inferred.ok());
+  EXPECT_EQ(inferred.status().code(), StatusCode::kInvalidArgument);
+  EXPECT_NE(inferred.status().message().find("rhs_contract"),
+            std::string::npos);
+
+  // Disagreeing contracting dims are a shape misfit.
+  dot->attrs().Set("rhs_contract", std::vector<int64_t>{2});
+  inferred = InferResultTypes(*dot, nullptr);
+  ASSERT_FALSE(inferred.ok());
+  EXPECT_EQ(inferred.status().code(), StatusCode::kFailedPrecondition);
+}
+
+TEST(OpRulesTest, CollectiveAxesAreCheckedAgainstTheMesh) {
+  Module module;
+  Func* func = module.AddFunc("main");
+  Value* x = func->body().AddArg(TensorType({8, 4}), "x");
+  Mesh mesh({{"B", 2}});
+  OpBuilder builder(&func->body());
+  builder.SetMesh(mesh);
+  Value* gathered = builder.AllGather(x, AxesPerDim{{"B"}, {}});
+  EXPECT_EQ(gathered->tensor_type(), TensorType({16, 4}));
+  Operation* gather = gathered->def();
+  gather->attrs().Set("axes_per_dim", AxesPerDim{{"Q"}, {}});
+  // Without a mesh the axis cannot be resolved, so the declared dims stand.
+  EXPECT_TRUE(InferResultTypes(*gather, nullptr).ok());
+  StatusOr<std::vector<Type>> inferred = InferResultTypes(*gather, &mesh);
+  ASSERT_FALSE(inferred.ok());
+  EXPECT_NE(inferred.status().message().find("unknown mesh axis 'Q'"),
+            std::string::npos);
 }
 
 TEST(PrinterTest, PaperLikeSyntax) {

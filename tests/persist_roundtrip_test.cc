@@ -11,6 +11,7 @@
 
 #include <cstring>
 #include <filesystem>
+#include <functional>
 
 #include "src/api/partir.h"
 #include "src/ir/fingerprint.h"
@@ -383,6 +384,173 @@ TEST(PersistRoundTripTest, BatcherWarmsFromDiskCache) {
     PartitionCacheStats stats = cache->stats();
     EXPECT_GT(stats.disk_hits, 0);
     EXPECT_EQ(stats.disk_corrupt, 0);
+  }
+}
+
+
+// ---- Forged artifacts ----
+//
+// Each forgery keeps a valid frame and checksum around IR that breaks one
+// op rule. Every loader must answer with kDataLoss — Program::Load, the
+// partition cache's disk tier (which then recompiles to the cold result)
+// and DeserializePartitionResult — never with a crash or a wrong answer.
+
+/** x·w -> transpose: the program every forgery starts from. */
+Program BuildDotTransposeProgram() {
+  Program program("forge");
+  Value* x = program.AddInput(TensorType({8, 4}), "x");
+  Value* w = program.AddInput(TensorType({4, 8}), "w");
+  OpBuilder& builder = program.builder();
+  program.Return({builder.Transpose(builder.MatMul(x, w), {1, 0})});
+  return program;
+}
+
+Operation* FirstOp(Module& module, OpKind kind) {
+  Operation* found = nullptr;
+  WalkOps(module.main()->body(), [&](Operation& op) {
+    if (found == nullptr && op.kind() == kind) found = &op;
+  });
+  PARTIR_CHECK(found != nullptr) << "no " << OpKindName(kind) << " op";
+  return found;
+}
+
+/** A builder inserting at the front of `module`'s main body. */
+OpBuilder FrontBuilder(Module& module) {
+  Block& body = module.main()->body();
+  OpBuilder builder(&body);
+  builder.SetInsertionPoint(&body, 0);
+  return builder;
+}
+
+struct Forgery {
+  std::string name;
+  std::function<void(Module&)> apply;
+};
+
+std::vector<Forgery> Forgeries() {
+  return {
+      {"transpose perm={1,7}",
+       [](Module& m) {
+         FirstOp(m, OpKind::kTranspose)
+             ->attrs()
+             .Set("perm", std::vector<int64_t>{1, 7});
+       }},
+      {"dot lhs_contract={5}",
+       [](Module& m) {
+         FirstOp(m, OpKind::kDot)
+             ->attrs()
+             .Set("lhs_contract", std::vector<int64_t>{5});
+       }},
+      {"perm of string type",
+       [](Module& m) {
+         FirstOp(m, OpKind::kTranspose)
+             ->attrs()
+             .Set("perm", std::string("1,0"));
+       }},
+      {"wrong declared result type",
+       [](Module& m) {
+         FirstOp(m, OpKind::kTranspose)
+             ->result()
+             ->set_type(TensorType({3, 3}));
+       }},
+      {"missing required attribute",
+       [](Module& m) { FirstOp(m, OpKind::kTranspose)->attrs() = AttrMap(); }},
+      {"loop without a yield",
+       [](Module& m) {
+         FrontBuilder(m).Loop("B", 2, "tile", 0, TensorType({8, 4}));
+       }},
+      {"unknown collective axis",
+       [](Module& m) {
+         FrontBuilder(m).AllReduce(m.main()->body().arg(0), {"Q"});
+       }},
+  };
+}
+
+/** The partition-result bytes of `result` with `forgery` applied. */
+std::string ForgeResult(const std::string& bytes, const Forgery& forgery) {
+  StatusOr<PartitionResult> result =
+      persist::DeserializePartitionResult(bytes);
+  PARTIR_CHECK(result.ok()) << result.status().ToString();
+  forgery.apply(*result->spmd.module);
+  return persist::SerializePartitionResult(*result);
+}
+
+/** The cache key stored in a framed entry's header. */
+std::string EntryKey(const std::string& entry) {
+  persist::ByteReader reader(entry);
+  for (int i = 0; i < 8; ++i) reader.ReadU8();  // magic
+  reader.ReadU32();                             // format version
+  reader.ReadU32();                             // payload kind
+  return reader.ReadStr();
+}
+
+TEST(PersistForgedArtifactTest, EveryLoaderRejectsForgedIrWithDataLoss) {
+  const Mesh mesh({{"B", 2}});
+  const std::vector<Tactic> schedule = {
+      ManualPartition{"BP", {{"x", 0}}, "B"}};
+  Program reference = BuildDotTransposeProgram();
+  const std::vector<Tensor> inputs = reference.RandomInputs(41);
+  const std::vector<Tensor> cold =
+      reference.Partition(schedule, mesh).value().Run(inputs).value();
+  PartitionContext ctx(reference.func(), mesh);
+  const std::string result_bytes = persist::SerializePartitionResult(
+      PartirJitOrError(ctx, schedule, {}).value());
+
+  for (const Forgery& forgery : Forgeries()) {
+    SCOPED_TRACE(forgery.name);
+    ScopedDir dir("partir-forged");
+
+    // Program::Load over a forged Program::Save file.
+    const std::string program_path = dir.path + "/forged.program";
+    Program forged = BuildDotTransposeProgram();
+    forgery.apply(forged.module());
+    ASSERT_TRUE(forged.Save(program_path).ok());
+    StatusOr<Program> loaded = Program::Load(program_path);
+    ASSERT_FALSE(loaded.ok());
+    EXPECT_EQ(loaded.status().code(), StatusCode::kDataLoss)
+        << loaded.status().ToString();
+
+    // DeserializePartitionResult over forged result bytes.
+    const std::string forged_bytes = ForgeResult(result_bytes, forgery);
+    StatusOr<PartitionResult> restored =
+        persist::DeserializePartitionResult(forged_bytes);
+    ASSERT_FALSE(restored.ok());
+    EXPECT_EQ(restored.status().code(), StatusCode::kDataLoss)
+        << restored.status().ToString();
+
+    // A forged disk-tier entry: counted as corrupt, then recompiled.
+    PartitionOptions options;
+    options.cache_dir = dir.path + "/cache";
+    {
+      Program program = BuildDotTransposeProgram();
+      ASSERT_TRUE(program.Partition(schedule, mesh, options).ok());
+      program.partition_cache()->FlushDiskWrites();
+    }
+    int entries = 0;
+    for (const auto& entry :
+         std::filesystem::directory_iterator(options.cache_dir)) {
+      const std::string path = entry.path().string();
+      StatusOr<std::string> bytes = persist::ReadFileToString(path);
+      ASSERT_TRUE(bytes.ok()) << bytes.status().ToString();
+      const std::string key = EntryKey(*bytes);
+      StatusOr<std::string> payload = persist::DecodeEntry(
+          *bytes, persist::PayloadKind::kPartitionResult, key);
+      ASSERT_TRUE(payload.ok()) << payload.status().ToString();
+      ASSERT_TRUE(persist::WriteFileAtomic(
+                      path, persist::EncodeEntry(
+                                persist::PayloadKind::kPartitionResult, key,
+                                ForgeResult(*payload, forgery)))
+                      .ok());
+      ++entries;
+    }
+    ASSERT_EQ(entries, 1);
+    Program program = BuildDotTransposeProgram();
+    StatusOr<Executable> exe = program.Partition(schedule, mesh, options);
+    ASSERT_TRUE(exe.ok()) << exe.status().ToString();
+    PartitionCacheStats stats = program.cache_stats();
+    EXPECT_EQ(stats.disk_hits, 0);
+    EXPECT_EQ(stats.disk_corrupt, 1);
+    ExpectBitIdentical(cold, exe->Run(inputs).value(), forgery.name);
   }
 }
 

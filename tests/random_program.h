@@ -2,12 +2,16 @@
  * @file
  * Seeded random programs and schedules for differential tests: the
  * generator behind ExecBackendRandomTest (reference vs optimized vs
- * Evaluate) and the propagation equivalence pins.
+ * Evaluate, plus a save/load leg) and the propagation equivalence pins.
  */
 #ifndef PARTIR_TESTS_RANDOM_PROGRAM_H_
 #define PARTIR_TESTS_RANDOM_PROGRAM_H_
 
+#include <unistd.h>
+
 #include <algorithm>
+#include <cstring>
+#include <filesystem>
 #include <functional>
 #include <initializer_list>
 #include <random>
@@ -16,6 +20,8 @@
 
 #include "src/api/partir.h"
 #include "src/ir/builder.h"
+#include "src/persist/serializer.h"
+#include "src/persist/store.h"
 
 namespace partir {
 
@@ -222,6 +228,85 @@ class RandomProgramCase {
   std::vector<std::string> input_names_;
   std::vector<Tactic> schedule_;
 };
+
+
+/** The first difference between two output lists, or "" when they are
+ *  memcmp-identical. */
+inline std::string BitMismatch(const std::vector<Tensor>& want,
+                               const std::vector<Tensor>& got) {
+  if (want.size() != got.size()) return "output count differs";
+  for (size_t i = 0; i < want.size(); ++i) {
+    if (want[i].dims() != got[i].dims() ||
+        std::memcmp(want[i].data().data(), got[i].data().data(),
+                    want[i].data().size() * sizeof(float)) != 0) {
+      return "output " + std::to_string(i) + " differs";
+    }
+  }
+  return "";
+}
+
+/**
+ * The persist leg of the differential test. The program goes
+ * Program::Save -> Load -> Partition, and `exe` (its partition under
+ * `schedule`) goes SaveResult -> DeserializePartitionResult -> Run; both
+ * must reproduce `direct`, the outputs of `exe` on `inputs`, bit for bit.
+ * Returns what went wrong, or "" when both legs agree.
+ */
+inline std::string PersistLegMismatch(const Program& program,
+                                      const Executable& exe,
+                                      const std::vector<Tactic>& schedule,
+                                      const Mesh& mesh,
+                                      const std::vector<Tensor>& inputs,
+                                      const std::vector<Tensor>& direct) {
+  const std::string base =
+      (std::filesystem::temp_directory_path() /
+       ("partir-random-" + std::to_string(::getpid())))
+          .string();
+  struct Cleanup {
+    std::string path;
+    ~Cleanup() {
+      std::error_code ec;
+      std::filesystem::remove(path + ".program", ec);
+      std::filesystem::remove(path + ".result", ec);
+    }
+  } cleanup{base};
+
+  if (Status saved = program.Save(base + ".program"); !saved.ok()) {
+    return "Program::Save: " + saved.ToString();
+  }
+  StatusOr<Program> loaded = Program::Load(base + ".program");
+  if (!loaded.ok()) return "Program::Load: " + loaded.status().ToString();
+  StatusOr<Executable> reloaded = loaded->Partition(schedule, mesh);
+  if (!reloaded.ok()) {
+    return "Partition of the loaded program: " + reloaded.status().ToString();
+  }
+  StatusOr<std::vector<Tensor>> got = reloaded->Run(inputs);
+  if (!got.ok()) return "Run of the loaded program: " + got.status().ToString();
+  if (std::string diff = BitMismatch(direct, *got); !diff.empty()) {
+    return "loaded program: " + diff;
+  }
+
+  if (Status saved = exe.SaveResult(base + ".result"); !saved.ok()) {
+    return "SaveResult: " + saved.ToString();
+  }
+  StatusOr<std::string> bytes = persist::ReadFileToString(base + ".result");
+  if (!bytes.ok()) return "reading the result: " + bytes.status().ToString();
+  StatusOr<std::string> payload =
+      persist::DecodeEntry(*bytes, persist::PayloadKind::kPartitionResult,
+                           "partir-partition-result");
+  if (!payload.ok()) return "DecodeEntry: " + payload.status().ToString();
+  StatusOr<PartitionResult> restored =
+      persist::DeserializePartitionResult(*payload);
+  if (!restored.ok()) {
+    return "DeserializePartitionResult: " + restored.status().ToString();
+  }
+  got = RunSpmd(restored->spmd, inputs, {});
+  if (!got.ok()) return "Run of the loaded result: " + got.status().ToString();
+  if (std::string diff = BitMismatch(direct, *got); !diff.empty()) {
+    return "loaded result: " + diff;
+  }
+  return "";
+}
 
 }  // namespace partir
 

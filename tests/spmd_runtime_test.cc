@@ -163,8 +163,7 @@ TEST(SpmdRuntimeTest, AllToAllRoundTripOnAsymmetricAxis) {
   Func* func = spmd.module->AddFunc("main");
   Value* x = func->body().AddArg(TensorType({2, 6}), "x");
   OpBuilder builder(&func->body());
-  builder.SetAxisSizeFn(
-      [&](const std::string& axis) { return mesh.AxisSize(axis); });
+  builder.SetMesh(mesh);
   Value* moved = builder.AllToAll(x, /*slice_dim=*/1, /*concat_dim=*/0, {"B"});
   Value* back = builder.AllToAll(moved, /*slice_dim=*/0, /*concat_dim=*/1,
                                  {"B"});
@@ -192,8 +191,7 @@ TEST(SpmdRuntimeTest, DeepShardedGatherOnThreeAxisMesh) {
   Func* func = spmd.module->AddFunc("main");
   Value* x = func->body().AddArg(TensorType({2, 2}), "x");
   OpBuilder builder(&func->body());
-  builder.SetAxisSizeFn(
-      [&](const std::string& axis) { return mesh.AxisSize(axis); });
+  builder.SetMesh(mesh);
   Value* gathered = builder.AllGather(x, AxesPerDim{{"B"}, {"M", "E"}});
   builder.Return({gathered});
   spmd.input_shardings = {ValueSharding{AxesPerDim{{"B"}, {"M", "E"}}}};

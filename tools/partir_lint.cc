@@ -13,7 +13,9 @@
  *
  * Exit status: 0 when every file analyzed without errors, 1 when any file
  * produced error diagnostics, 2 on usage or I/O/decode failure. Corrupted
- * input is a typed message, never a crash.
+ * input is a typed message, never a crash; the loaders verify every module
+ * against the op rules (src/ir/op_rules.h), so IR that breaks them is a
+ * decode failure (kDataLoss) rather than a module to analyze.
  */
 #include <cstdio>
 #include <string>
